@@ -12,6 +12,9 @@ Cache keys are *canonical fingerprints*: every formula is alpha-normalized
 deduplicated and order-normalized, and trivially-true assumptions carry no
 weight.  Two sequents that differ only in assumption naming, assumption
 order or the spelling of bound variables therefore share one cache entry.
+A fingerprint is a SHA-256 Merkle digest over that normal form, written as
+64 hex characters; the same string is the in-memory key, the store's
+entry key and the dependency index's sequent identity.
 
 A cache is attached to one portfolio (fixed prover set and per-prover
 timeouts), so a cached verdict -- including "no prover could do it" -- is
@@ -26,8 +29,11 @@ protocol are documented normatively in ``docs/cache-format.md``.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import itertools
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,8 +52,6 @@ __all__ = [
     "PersistentCacheStore",
     "task_fingerprint",
     "term_fingerprint",
-    "fingerprint_to_json",
-    "fingerprint_from_json",
     "FINGERPRINT_VERSION",
     "CACHE_FORMAT_VERSION",
 ]
@@ -55,98 +59,117 @@ __all__ = [
 #: Bump whenever :func:`term_fingerprint` / :func:`task_fingerprint` change
 #: shape: persisted caches keyed under an older scheme are discarded (cold
 #: start) instead of being misinterpreted.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Bump whenever the on-disk JSON layout of :class:`PersistentCacheStore`
 #: changes incompatibly.  Version 2 added measured per-sequent prover
 #: timings (``wall`` / ``cpu``) to every entry and the per-class
 #: ``profiles`` section; version 3 added the per-class ``dependencies``
 #: section (the incremental-verification dependency index mapping source
-#: artifacts to the fingerprints they produce); older stores cold-start
-#: cleanly.
-CACHE_FORMAT_VERSION = 3
+#: artifacts to the fingerprints they produce); version 4 keys everything
+#: by hex digest and stores each entry as one flat row; older stores
+#: cold-start cleanly.
+CACHE_FORMAT_VERSION = 4
 
 
+# Each node hashes a one-byte tag, its length-prefixed operator / name /
+# sort fields and the raw 32-byte digests of its children, so no two
+# distinct nodes share an image (docs/cache-format.md, "Fingerprint
+# scheme").
+#
 # Bound variables are numbered by *relative* de Bruijn index (distance from
 # the binding site), so a subterm that references no enclosing bound
-# variable has a fingerprint independent of its context.  That makes the
-# memo sound: fingerprints of such context-free subterms are cached per
+# variable has a digest independent of its context.  That makes the memo
+# sound: digests of such context-free subterms are computed once per
 # interned node.
 _FP_MEMO_LIMIT = 1 << 17
-_FP_MEMO: dict[Term, object] = {}
+_FP_MEMO: dict[Term, bytes] = {}
+
+#: Whole-task digests start with this tag, which no term node uses.
+_TASK_TAG = b"T"
+#: Tenant keys likewise get their own tag.
+_TENANT_TAG = b"N"
 
 
-def term_fingerprint(term: Term) -> object:
-    """A hashable alpha-invariant fingerprint of ``term``.
+def _field(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def term_fingerprint(term: Term) -> str:
+    """The alpha-invariant fingerprint of ``term``: a 64-character hex digest.
 
     ``alpha_equal(s, t)`` implies ``term_fingerprint(s) ==
-    term_fingerprint(t)`` and, for well-sorted distinct terms, fingerprints
-    differ whenever the terms are not alpha-equivalent; free variables,
-    constants, operators and sorts are preserved exactly.
+    term_fingerprint(t)``; for well-sorted terms that are not
+    alpha-equivalent the digests differ unless SHA-256 collides.  Free
+    variables, constants, operators and sorts are preserved exactly.
     """
-    return _fingerprint(term, {}, 0)
+    return _digest(term, {}, 0).hex()
 
 
-def _fingerprint(term: Term, env: dict[str, int], depth: int) -> object:
+def _digest(term: Term, env: dict[str, int], depth: int) -> bytes:
     if env and term._free_names.isdisjoint(env):
         # No enclosing binder is referenced: the relative numbering makes
-        # the fingerprint context-independent, so restart from depth 0 and
-        # use the memo.
+        # the digest context-independent, so restart from depth 0 and use
+        # the memo.
         env = {}
         depth = 0
     if not env:
         cached = _FP_MEMO.get(term)
         if cached is not None:
             return cached
-        result = _fingerprint_uncached(term, env, 0)
+        result = _digest_uncached(term, env, 0)
         if len(_FP_MEMO) > _FP_MEMO_LIMIT:
             _FP_MEMO.clear()
         _FP_MEMO[term] = result
         return result
-    return _fingerprint_uncached(term, env, depth)
+    return _digest_uncached(term, env, depth)
 
 
-def _fingerprint_uncached(term: Term, env: dict[str, int], depth: int) -> object:
+def _digest_uncached(term: Term, env: dict[str, int], depth: int) -> bytes:
     if isinstance(term, Var):
         level = env.get(term.name)
         if level is None:
-            return ("v", term.name, term.sort.name)
-        return ("b", depth - level, term.sort.name)
-    if isinstance(term, Const):
-        return ("c", term.name, term.sort.name)
-    if isinstance(term, IntLit):
-        return ("i", term.value)
-    if isinstance(term, BoolLit):
-        return ("t", term.value)
-    if isinstance(term, App):
-        return (
-            "a",
-            term.op,
-            term.sort.name,
-            tuple(_fingerprint(arg, env, depth) for arg in term.args),
+            image = b"v" + _field(term.name) + _field(term.sort.name)
+        else:
+            image = b"b" + _field(str(depth - level)) + _field(term.sort.name)
+    elif isinstance(term, Const):
+        image = b"c" + _field(term.name) + _field(term.sort.name)
+    elif isinstance(term, IntLit):
+        image = b"i" + _field(str(term.value))
+    elif isinstance(term, BoolLit):
+        image = b"t" if term.value else b"f"
+    elif isinstance(term, App):
+        # Children are fixed-size, so their count is implied by the length.
+        image = b"".join(
+            [b"a", _field(term.op), _field(term.sort.name)]
+            + [_digest(arg, env, depth) for arg in term.args]
         )
-    if isinstance(term, Binder):
+    elif isinstance(term, Binder):
         inner = dict(env)
         for offset, (name, _) in enumerate(term.params):
             inner[name] = depth + offset
-        return (
-            "B",
-            term.kind,
-            tuple(sort.name for _, sort in term.params),
-            _fingerprint(term.body, inner, depth + len(term.params)),
+        image = b"".join(
+            [b"B", _field(term.kind), len(term.params).to_bytes(4, "big")]
+            + [_field(sort.name) for _, sort in term.params]
+            + [_digest(term.body, inner, depth + len(term.params))]
         )
-    raise TypeError(f"unknown term type {type(term)!r}")
+    else:
+        raise TypeError(f"unknown term type {type(term)!r}")
+    return hashlib.sha256(image).digest()
 
 
-def task_fingerprint(task: ProofTask) -> tuple:
-    """The cache key of a proof task.
+def task_fingerprint(task: ProofTask) -> str:
+    """The cache key of a proof task: a 64-character hex digest.
 
     Assumption *names* are irrelevant to provability, so only the
-    alpha-normalized formulas matter; they are deduplicated and sorted so
-    that assumption order does not split cache entries.
+    alpha-normalized formulas matter; their digests are deduplicated and
+    sorted so that assumption order does not split cache entries, and the
+    goal's digest follows them.
     """
-    hypotheses = {_fingerprint(formula, {}, 0) for _, formula in task.assumptions}
-    return (tuple(sorted(hypotheses, key=repr)), _fingerprint(task.goal, {}, 0))
+    hypotheses = sorted({_digest(formula, {}, 0) for _, formula in task.assumptions})
+    hypotheses.append(_digest(task.goal, {}, 0))
+    return hashlib.sha256(_TASK_TAG + b"".join(hypotheses)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -183,20 +206,24 @@ class ProofCache:
     dispatcher), not here, so there is exactly one set of counters.
 
     ``namespace`` isolates tenants of a shared cache: while it is set to a
-    non-empty string, every key produced by :meth:`key` is prefixed with a
-    ``("tenant", namespace)`` component, so one tenant's verdicts can
-    neither serve nor poison another's.  The daemon sets it to the
-    authenticated client id for the duration of each engine op
-    (:mod:`repro.verifier.daemon`); the default ``""`` leaves keys exactly
-    as before, so single-tenant callers (CLI, tests, existing persistent
-    stores) are unaffected.  Namespaced keys are ordinary fingerprints to
-    everything downstream -- persistence, cost model, parallel dedup all
-    work per tenant for free.
+    non-empty string, every key produced by :meth:`key` is the digest of
+    the tenant tag, the namespace and the task fingerprint, so one
+    tenant's verdicts can neither serve nor poison another's.  The daemon
+    sets it to the authenticated client id for the duration of each
+    engine op (:mod:`repro.verifier.daemon`); the default ``""`` keys by
+    the bare task fingerprint, so single-tenant callers (CLI, tests,
+    existing persistent stores) are unaffected.  Tenant keys are ordinary
+    digests to everything downstream -- persistence, cost model, parallel
+    dedup all work per tenant for free.
+
+    When full, :meth:`store` evicts the older half of the entries in
+    insertion order, so a long-lived daemon keeps its newest verdicts and
+    each store stays amortised O(1).
     """
 
     def __init__(self, max_entries: int = 1 << 16) -> None:
         self.max_entries = max_entries
-        self._entries: dict[tuple, CachedVerdict] = {}
+        self._entries: dict[str, CachedVerdict] = {}
         #: Bumped on every :meth:`store`; lets persistence layers skip
         #: writing when nothing new was learned since the last flush.
         self.mutations = 0
@@ -206,10 +233,10 @@ class ProofCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(self, task: ProofTask) -> tuple:
+    def key(self, task: ProofTask) -> str:
         return self.key_for_fingerprint(task_fingerprint(task))
 
-    def key_for_fingerprint(self, fingerprint: tuple) -> tuple:
+    def key_for_fingerprint(self, fingerprint: str) -> str:
         """The cache key for a raw (tenant-free) task fingerprint.
 
         The dependency index (:mod:`repro.verifier.incremental`) stores raw
@@ -217,27 +244,32 @@ class ProofCache:
         for the active tenant goes through this, exactly like :meth:`key`.
         """
         if self.namespace:
-            return (("tenant", self.namespace), *fingerprint)
+            image = _TENANT_TAG + _field(self.namespace) + _field(fingerprint)
+            return hashlib.sha256(image).hexdigest()
         return fingerprint
 
-    def lookup(self, key: tuple) -> CachedVerdict | None:
+    def lookup(self, key: str) -> CachedVerdict | None:
         return self._entries.get(key)
 
-    def store(self, key: tuple, verdict: CachedVerdict) -> None:
-        if len(self._entries) >= self.max_entries:
-            self._entries.clear()
-        self._entries[key] = verdict
+    def store(self, key: str, verdict: CachedVerdict) -> None:
+        entries = self._entries
+        if len(entries) >= self.max_entries and key not in entries:
+            # Dict order is insertion order: keep the newer half.
+            keep_from = len(entries) - self.max_entries // 2
+            self._entries = entries = dict(
+                itertools.islice(entries.items(), keep_from, None)
+            )
+        entries[key] = verdict
         self.mutations += 1
 
-    def preload(self, entries: dict[tuple, CachedVerdict]) -> None:
+    def preload(self, entries: dict[str, CachedVerdict]) -> None:
         """Seed the cache (e.g. from a persistent store) without eviction.
 
         Existing entries win: verdicts produced during this process are
         never overwritten by stale disk entries.  Seeding stops at half
-        ``max_entries`` -- :meth:`store` evicts by clearing the whole
-        cache when full, and an over-large persistent store must never
-        fill the cache so far that the first new verdict wipes every
-        preloaded one (the unseeded remainder is merely re-proved).
+        ``max_entries``, so an over-large persistent store leaves room for
+        the verdicts a running process learns before the first eviction
+        drops preloaded ones (the unseeded remainder is merely re-proved).
         """
         limit = self.max_entries // 2
         for key, verdict in entries.items():
@@ -245,7 +277,7 @@ class ProofCache:
                 break
             self._entries.setdefault(key, verdict)
 
-    def snapshot(self) -> dict[tuple, CachedVerdict]:
+    def snapshot(self) -> dict[str, CachedVerdict]:
         """A shallow copy of the cache contents (for persistence)."""
         return dict(self._entries)
 
@@ -258,30 +290,8 @@ class ProofCache:
 # ---------------------------------------------------------------------------
 
 
-# Fingerprints are stored as nested JSON arrays: they contain only
-# ``str`` / ``int`` / ``bool`` leaves (no ids, no process-dependent
-# hashes), so the encoding is lossless and stable across processes and
-# hash seeds, and ``json.loads`` parses a whole store at C speed -- which
-# matters because a warm start parses everything before the first sequent
-# is answered.
-
-
-def fingerprint_to_json(value):
-    """Encode a fingerprint (nested tuples of str/int/bool) for the store."""
-    if isinstance(value, tuple):
-        return [fingerprint_to_json(item) for item in value]
-    if isinstance(value, (str, int, bool)):
-        return value
-    raise ValueError(f"fingerprints contain only str/int/bool, got {type(value)!r}")
-
-
-def fingerprint_from_json(value):
-    """Decode :func:`fingerprint_to_json` output back into tuples."""
-    if isinstance(value, list):
-        return tuple(fingerprint_from_json(item) for item in value)
-    if isinstance(value, (str, int, bool)):
-        return value
-    raise ValueError(f"invalid fingerprint element {value!r}")
+#: Fingerprints and tenant keys as they appear in a store.
+_is_digest = re.compile(r"[0-9a-f]{64}\Z").match
 
 
 class PersistentCacheStore:
@@ -343,7 +353,7 @@ class PersistentCacheStore:
 
     # -- reading -----------------------------------------------------------------
 
-    def load(self) -> dict[tuple, CachedVerdict]:
+    def load(self) -> dict[str, CachedVerdict]:
         """Load the persisted verdicts, or ``{}`` on any mismatch/corruption.
 
         The per-class cost profiles that rode along are exposed as
@@ -357,7 +367,7 @@ class PersistentCacheStore:
 
     def _read(
         self,
-    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+    ) -> tuple[dict[str, CachedVerdict], dict[str, dict], dict[str, dict], str]:
         try:
             raw = self.path.read_text(encoding="utf-8")
         except (FileNotFoundError, NotADirectoryError):
@@ -368,7 +378,7 @@ class PersistentCacheStore:
 
     def _parse(
         self, raw: str
-    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+    ) -> tuple[dict[str, CachedVerdict], dict[str, dict], dict[str, dict], str]:
         try:
             payload = json.loads(raw)
         except (json.JSONDecodeError, ValueError):
@@ -384,22 +394,22 @@ class PersistentCacheStore:
         raw_entries = payload.get("entries")
         if not isinstance(raw_entries, list):
             return {}, {}, {}, "cold:corrupt"
-        entries: dict[tuple, CachedVerdict] = {}
-        for pair in raw_entries:
+        entries: dict[str, CachedVerdict] = {}
+        for row in raw_entries:
             try:
-                raw_key, verdict = pair
-                key = fingerprint_from_json(raw_key)
-                if not isinstance(key, tuple):
-                    raise ValueError("fingerprint must be a tuple")
+                key, proved, refuted, prover, *timing = row
+                if not (
+                    _is_digest(key)
+                    and type(proved) is bool
+                    and type(refuted) is bool
+                    and type(prover) is str
+                ):
+                    raise ValueError("damaged entry")
+                wall, cpu = timing or (0.0, 0.0)
                 entries[key] = CachedVerdict(
-                    proved=bool(verdict["proved"]),
-                    refuted=bool(verdict["refuted"]),
-                    winning_prover=str(verdict["prover"]),
-                    origin="disk",
-                    wall=float(verdict.get("wall", 0.0)),
-                    cpu=float(verdict.get("cpu", 0.0)),
+                    proved, refuted, prover, "disk", float(wall), float(cpu)
                 )
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, TypeError):
                 # Skip individually damaged entries; keep the rest.
                 continue
         profiles = self._parse_profiles(payload.get("profiles"))
@@ -428,12 +438,12 @@ class PersistentCacheStore:
     def _parse_dependencies(raw_dependencies) -> dict[str, dict]:
         """Validate the per-class dependency-index section.
 
-        The store only checks the JSON *shape* (string artifact digests, a
-        list of per-method records each carrying ``[label, fingerprint]``
-        sequent pairs); semantic interpretation lives in
-        :class:`repro.verifier.incremental.DependencyIndex`, which decodes
-        the fingerprints.  Damaged classes are skipped, like damaged
-        entries.
+        The store only checks the JSON *shape*: string artifact digests
+        and a list of per-method records, each carrying ``[label,
+        fingerprint]`` sequent pairs whose fingerprints are digests.
+        Semantic interpretation lives in
+        :class:`repro.verifier.incremental.DependencyIndex`.  Damaged
+        classes are skipped, like damaged entries.
         """
         if not isinstance(raw_dependencies, dict):
             return {}
@@ -446,10 +456,11 @@ class PersistentCacheStore:
                 }
                 methods = []
                 for method_name, method_record in record["methods"]:
-                    sequents = [
-                        [str(label), fingerprint_to_json(fingerprint_from_json(fp))]
-                        for label, fp in method_record["sequents"]
-                    ]
+                    sequents = []
+                    for label, fingerprint in method_record["sequents"]:
+                        if not _is_digest(fingerprint):
+                            raise ValueError("damaged fingerprint")
+                        sequents.append([str(label), fingerprint])
                     methods.append(
                         [
                             str(method_name),
@@ -463,7 +474,7 @@ class PersistentCacheStore:
                     "artifacts": artifacts,
                     "methods": methods,
                 }
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 continue
         return dependencies
 
@@ -471,7 +482,7 @@ class PersistentCacheStore:
 
     def save(
         self,
-        entries: dict[tuple, CachedVerdict],
+        entries: dict[str, CachedVerdict],
         merge: bool = True,
         profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
@@ -506,12 +517,12 @@ class PersistentCacheStore:
 
     def _save_locked(
         self,
-        entries: dict[tuple, CachedVerdict],
+        entries: dict[str, CachedVerdict],
         merge: bool,
         profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
     ) -> int:
-        combined: dict[tuple, CachedVerdict] = {}
+        combined: dict[str, CachedVerdict] = {}
         combined_profiles: dict[str, dict] = {}
         combined_dependencies: dict[str, dict] = {}
         if merge:
@@ -537,27 +548,28 @@ class PersistentCacheStore:
             "profiles": combined_profiles,
             "dependencies": combined_dependencies,
             "entries": [
+                # 6 decimals ~ microseconds: plenty for scheduling, and it
+                # keeps a 2^16-entry store compact.
                 [
-                    fingerprint_to_json(key),
-                    {
-                        "proved": verdict.proved,
-                        "refuted": verdict.refuted,
-                        "prover": verdict.winning_prover,
-                        # 6 decimals ~ microseconds: plenty for scheduling,
-                        # and it keeps a 2^16-entry store compact.
-                        "wall": round(verdict.wall, 6),
-                        "cpu": round(verdict.cpu, 6),
-                    },
+                    key,
+                    verdict.proved,
+                    verdict.refuted,
+                    verdict.winning_prover,
+                    round(verdict.wall, 6),
+                    round(verdict.cpu, 6),
                 ]
                 for key, verdict in combined.items()
             ],
         }
+        # One json.dumps call runs the C encoder; json.dump would stream
+        # through the pure-Python one.
+        text = json.dumps(payload, separators=(",", ":"))
         fd, temp_path = tempfile.mkstemp(
             prefix=self.path.name + ".", suffix=".tmp", dir=self.directory
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_path, self.path)

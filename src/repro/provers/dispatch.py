@@ -187,7 +187,7 @@ class ProverPortfolio:
 
     def consult_cache(
         self, task: ProofTask
-    ) -> tuple[tuple | None, DispatchResult | None]:
+    ) -> tuple[str | None, DispatchResult | None]:
         """Phase 1: count the attempt and answer from the cache if possible.
 
         Returns ``(key, hit)`` where ``key`` is the task's fingerprint (or
@@ -242,7 +242,7 @@ class ProverPortfolio:
         if result.proved:
             self.statistics.sequents_proved += 1
 
-    def store_verdict(self, key: tuple | None, result: DispatchResult) -> None:
+    def store_verdict(self, key: str | None, result: DispatchResult) -> None:
         """Phase 3b: remember the verdict (and its measured cost) for
         future duplicates and for the persistent store's cost profiles."""
         if self.proof_cache is not None and key is not None:

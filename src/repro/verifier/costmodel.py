@@ -110,8 +110,8 @@ class CostModel:
     )
     default_hint: float = DEFAULT_COST_HINT
     #: Fingerprint -> measured seconds of the sequent's one prover run.
-    sequent_wall: dict[tuple, float] = field(default_factory=dict)
-    sequent_cpu: dict[tuple, float] = field(default_factory=dict)
+    sequent_wall: dict[str, float] = field(default_factory=dict)
+    sequent_cpu: dict[str, float] = field(default_factory=dict)
     #: Class name -> accumulated profile over its distinct sequents.
     profiles: dict[str, ClassCostProfile] = field(default_factory=dict)
     #: Keys already counted into some class profile (here or on disk).
@@ -147,7 +147,7 @@ class CostModel:
             )
 
     def observe(
-        self, class_name: str, key: tuple | None, wall: float, cpu: float
+        self, class_name: str, key: str | None, wall: float, cpu: float
     ) -> None:
         """Record one live prover run of ``class_name``'s sequent ``key``.
 
@@ -205,7 +205,7 @@ class CostModel:
 
     # -- data out ---------------------------------------------------------------
 
-    def sequent_cost(self, key: tuple | None) -> float | None:
+    def sequent_cost(self, key: str | None) -> float | None:
         """The measured wall cost of one sequent, or ``None``."""
         if key is None:
             return None

@@ -151,7 +151,7 @@ class PlanEntry:
 
     class_name: str
     method_name: str
-    fingerprint: tuple
+    fingerprint: str
     dispatch: bool
 
 
@@ -337,7 +337,7 @@ class VerificationEngine:
         target = strip_proofs_from_class(cls) if strip_proofs else cls
         stats = ParallelRunStats(jobs=self.jobs)
         shard: list = []
-        pending_by_key: dict[tuple, int] = {}
+        pending_by_key: dict[str, int] = {}
         slots = plan_class(self, target, shard, pending_by_key, stats)
         entries = [
             PlanEntry(

@@ -128,6 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "jahob-py"
+    # Headers and body leave in two sends.  With Nagle's algorithm on, the
+    # second waits for the client's delayed ACK (~40 ms) on every
+    # keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------------
 

@@ -10,7 +10,7 @@ which sequents an edit invalidates.  This module closes that loop:
   mapping the source artifacts that produce sequents -- method bodies,
   the invariant set, the state declarations and the engine's translation
   policy -- to the fingerprints they produced (:func:`record_from_slots`);
-* the records persist alongside the proof cache (format v3, see
+* the records persist alongside the proof cache (see
   ``docs/cache-format.md``) in :class:`DependencyIndex`;
 * :func:`verify_class_incremental` diffs an edited class against its
   record.  A method whose digest is unchanged (under unchanged class
@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel, Method
 from ..logic.terms import Term
-from ..provers.cache import (
-    fingerprint_from_json,
-    fingerprint_to_json,
-    task_fingerprint,
-    term_fingerprint,
-)
+from ..provers.cache import task_fingerprint, term_fingerprint
 
 __all__ = [
     "DependencyIndex",
@@ -133,7 +128,7 @@ class DependencyIndex:
 
         {"artifacts": {"state": d, "invariants": d, "policy": d},
          "methods": [[name, {"digest": d,
-                             "sequents": [[label, fingerprint-json], ...]}],
+                             "sequents": [[label, fingerprint], ...]}],
                      ...]}
 
     Fingerprints are stored raw (tenant-free); resolution goes through
@@ -173,7 +168,7 @@ def record_from_slots(engine, target: ClassModel, slots) -> dict:
     by_method: dict[int, list] = {}
     for slot in slots:
         by_method.setdefault(slot.method_index, []).append(
-            [slot.sequent.label, fingerprint_to_json(task_fingerprint(slot.task))]
+            [slot.sequent.label, task_fingerprint(slot.task)]
         )
     methods = []
     for method_index, method in enumerate(target.methods):
@@ -198,10 +193,7 @@ def record_from_report(engine, target: ClassModel, report) -> dict:
     methods = []
     for method, method_report in zip(target.methods, report.methods):
         sequents = [
-            [
-                outcome.sequent.label,
-                fingerprint_to_json(task_fingerprint(outcome.dispatch.task)),
-            ]
+            [outcome.sequent.label, task_fingerprint(outcome.dispatch.task)]
             for outcome in method_report.outcomes
         ]
         methods.append(
@@ -282,9 +274,8 @@ def _resolve_clean_method(engine, record: dict):
     portfolio = engine.portfolio
     cache = portfolio.proof_cache
     resolved = []
-    for label, fp_json in record["sequents"]:
-        key = cache.key_for_fingerprint(fingerprint_from_json(fp_json))
-        verdict = cache.lookup(key)
+    for label, fingerprint in record["sequents"]:
+        verdict = cache.lookup(cache.key_for_fingerprint(fingerprint))
         if verdict is None:
             return None
         resolved.append((label, verdict))
@@ -346,14 +337,14 @@ def verify_class_incremental(engine, cls: ClassModel, jobs: int | None = None):
         {name: rec for name, rec in old["methods"]} if shared_clean else {}
     )
     indexed_fps = {
-        fingerprint_from_json(fp_json)
+        fingerprint
         for rec in old_methods.values()
-        for _, fp_json in rec["sequents"]
+        for _, fingerprint in rec["sequents"]
     }
 
     run_stats = ParallelRunStats(jobs=jobs)
     shard: list[_Slot] = []
-    pending_by_key: dict[tuple, int] = {}
+    pending_by_key: dict[str, int] = {}
     clean_outcomes: dict[int, list] = {}
     dirty_slots: dict[int, list[_Slot]] = {}
     new_methods: list = []
@@ -377,7 +368,7 @@ def verify_class_incremental(engine, cls: ClassModel, jobs: int | None = None):
         sequents = []
         for slot in slots:
             fingerprint = task_fingerprint(slot.task)
-            sequents.append([slot.sequent.label, fingerprint_to_json(fingerprint)])
+            sequents.append([slot.sequent.label, fingerprint])
             if fingerprint in indexed_fps:
                 stats.sequents_clean += 1
             else:
@@ -399,9 +390,9 @@ def verify_class_incremental(engine, cls: ClassModel, jobs: int | None = None):
         engine.cost_model.reprofile(
             cls.name,
             [
-                cache.key_for_fingerprint(fingerprint_from_json(fp_json))
+                cache.key_for_fingerprint(fingerprint)
                 for _, rec in new_methods
-                for _, fp_json in rec["sequents"]
+                for _, fingerprint in rec["sequents"]
             ],
         )
 

@@ -139,7 +139,7 @@ class _Slot:
     method_index: int
     sequent: Sequent
     task: ProofTask
-    key: tuple | None = None
+    key: str | None = None
     result: DispatchResult | None = None
     shard_index: int | None = None
     duplicate_of: int | None = None  # index into the shard list
@@ -286,7 +286,7 @@ def plan_class(
     engine,
     target: ClassModel,
     shard: list[_Slot],
-    pending_by_key: dict[tuple, int],
+    pending_by_key: dict[str, int],
     stats: ParallelRunStats,
 ) -> list[_Slot]:
     """Phase 1 (parent): plan one class's sequents against the cache.
@@ -321,7 +321,7 @@ def plan_method(
     method,
     method_index: int,
     shard: list[_Slot],
-    pending_by_key: dict[tuple, int],
+    pending_by_key: dict[str, int],
     stats: ParallelRunStats,
 ) -> list[_Slot]:
     """The per-method slice of :func:`plan_class`.

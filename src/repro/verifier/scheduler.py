@@ -145,7 +145,7 @@ def plan_suite(engine, classes: list[ClassModel], jobs: int = 1) -> SuitePlan:
     cost_model: CostModel = getattr(engine, "cost_model", None) or CostModel()
     stats = SuiteRunStats(jobs=jobs)
     shard: list[_Slot] = []
-    pending_by_key: dict[tuple, int] = {}
+    pending_by_key: dict[str, int] = {}
     planned: list[tuple[ClassModel, list[_Slot]]] = []
     shard_ranges: list[tuple[int, int]] = []
     for cls in classes:

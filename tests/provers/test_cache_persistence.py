@@ -9,9 +9,11 @@ mode).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
+import random
 
 import pytest
 
@@ -21,41 +23,23 @@ from repro.provers.cache import (
     CachedVerdict,
     PersistentCacheStore,
     ProofCache,
-    fingerprint_from_json,
-    fingerprint_to_json,
 )
 from repro.provers.dispatch import PortfolioSpec, default_portfolio
 from repro.suite import all_structures
 from repro.verifier.engine import VerificationEngine
 
 
-def sample_entries() -> dict[tuple, CachedVerdict]:
+def key(*parts) -> str:
+    """A stand-in fingerprint: any 64-hex-character digest is a valid key."""
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def sample_entries() -> dict[str, CachedVerdict]:
     return {
-        (("a", ("v", "x", "int")), ("t", True)): CachedVerdict(
-            True, False, "smt", wall=0.125, cpu=0.118
-        ),
-        (("b", 3), ("i", -12)): CachedVerdict(False, True, "model-finder"),
-        ((), ("c", "null", "obj")): CachedVerdict(False, False, ""),
+        key("a"): CachedVerdict(True, False, "smt", wall=0.125, cpu=0.118),
+        key("b"): CachedVerdict(False, True, "model-finder"),
+        key("c"): CachedVerdict(False, False, ""),
     }
-
-
-class TestFingerprintCodec:
-    def test_round_trip_through_json(self):
-        for key in sample_entries():
-            wire = json.loads(json.dumps(fingerprint_to_json(key)))
-            assert fingerprint_from_json(wire) == key
-
-    def test_rejects_non_literal_elements(self):
-        with pytest.raises(ValueError):
-            fingerprint_to_json((("i", 1.5),))
-        with pytest.raises(ValueError):
-            fingerprint_to_json((None,))
-
-    def test_rejects_garbage_on_decode(self):
-        with pytest.raises(ValueError):
-            fingerprint_from_json([["i", None]])
-        with pytest.raises(ValueError):
-            fingerprint_from_json({"not": "a fingerprint"})
 
 
 class TestRoundTrip:
@@ -106,37 +90,99 @@ class TestRoundTrip:
         assert set(entries) == set(sample_entries())
         assert set(store.last_profiles) == {"Good"}
 
-    def test_old_format_store_cold_starts_cleanly(self, tmp_path):
-        """A pre-v2 store (format 1: no timings, no profiles) must be
-        discarded as a cold start, never misread or crashed on."""
+    def test_damaged_dependency_records_are_skipped(self, tmp_path):
+        def record(fingerprint):
+            return {
+                "artifacts": {"state": "1f62", "invariants": "9c01"},
+                "methods": [
+                    ["get", {"digest": "77aa", "sequents": [["Post", fingerprint]]}]
+                ],
+            }
+
         store = PersistentCacheStore(tmp_path, "smt:4")
-        store.path.parent.mkdir(parents=True, exist_ok=True)
-        old_payload = {
-            "format": 1,
-            "fingerprint_version": FINGERPRINT_VERSION,
-            "portfolio": "smt:4",
-            "entries": [
-                [[["i", 1]], {"proved": True, "refuted": False, "prover": "smt"}]
-            ],
+        store.save(
+            sample_entries(),
+            dependencies={
+                "Good": record(key("a")),
+                "Nested": record([["i", 1]]),
+                "Short": record(key("a")[:16]),
+                "Worse": "not even a mapping",
+            },
+        )
+        assert set(store.load()) == set(sample_entries())
+        assert store.last_dependencies == {"Good": record(key("a"))}
+
+    def test_old_format_store_cold_starts_cleanly(self, tmp_path):
+        """Older stores must be discarded as a cold start, never misread
+        or crashed on: format 1 (no timings, no profiles) and format 3
+        (structural-tuple fingerprints as nested arrays, with profiles and
+        a dependency index)."""
+        old_fingerprint = [
+            [["a", "lt", "bool", [["v", "x", "int"], ["i", 1]]]],
+            ["t", True],
+        ]
+        old_payloads = {
+            "v1": {
+                "format": 1,
+                "fingerprint_version": FINGERPRINT_VERSION,
+                "portfolio": "smt:4",
+                "entries": [
+                    [[["i", 1]], {"proved": True, "refuted": False, "prover": "smt"}]
+                ],
+            },
+            "v3": {
+                "format": 3,
+                "fingerprint_version": 1,
+                "portfolio": "smt:4",
+                "profiles": {"Cell": {"wall": 0.5, "cpu": 0.4, "sequents": 1}},
+                "dependencies": {
+                    "Cell": {
+                        "artifacts": {"state": "1f62", "invariants": "9c01"},
+                        "methods": [
+                            [
+                                "get",
+                                {
+                                    "digest": "77aa",
+                                    "sequents": [["Post", old_fingerprint]],
+                                },
+                            ]
+                        ],
+                    }
+                },
+                "entries": [
+                    [
+                        old_fingerprint,
+                        {
+                            "proved": True,
+                            "refuted": False,
+                            "prover": "smt",
+                            "wall": 0.5,
+                            "cpu": 0.4,
+                        },
+                    ]
+                ],
+            },
         }
-        store.path.write_text(json.dumps(old_payload))
-        assert store.load() == {}
-        assert store.last_load_status == "cold:format-mismatch"
-        assert store.last_profiles == {}
-        # A save over the old store recovers to the current format.
-        store.save(sample_entries())
-        assert len(store.load()) == len(sample_entries())
-        assert store.last_load_status.startswith("warm:")
+        for name, old_payload in old_payloads.items():
+            store = PersistentCacheStore(tmp_path / name, "smt:4")
+            store.path.parent.mkdir(parents=True, exist_ok=True)
+            store.path.write_text(json.dumps(old_payload))
+            assert store.load() == {}, name
+            assert store.last_load_status == "cold:format-mismatch", name
+            assert store.last_profiles == {}
+            assert store.last_dependencies == {}
+            # A save over the old store recovers to the current format.
+            store.save(sample_entries())
+            assert len(store.load()) == len(sample_entries())
+            assert store.last_load_status.startswith("warm:")
 
     def test_entries_without_timing_fields_load_as_unmeasured(self, tmp_path):
-        """Entry-level tolerance: a v2 store whose entries lack wall/cpu
+        """Entry-level tolerance: a store whose entry rows lack wall/cpu
         (e.g. hand-edited) still loads, with timings defaulting to 0."""
         store = PersistentCacheStore(tmp_path, "smt:4")
         store.save(sample_entries())
         payload = json.loads(store.path.read_text())
-        for _, verdict in payload["entries"]:
-            verdict.pop("wall", None)
-            verdict.pop("cpu", None)
+        payload["entries"] = [row[:4] for row in payload["entries"]]
         store.path.write_text(json.dumps(payload))
         loaded = store.load()
         assert set(loaded) == set(sample_entries())
@@ -149,17 +195,17 @@ class TestRoundTrip:
 
     def test_merge_accumulates_across_saves(self, tmp_path):
         store = PersistentCacheStore(tmp_path, "k")
-        first = {(("i", 1),): CachedVerdict(True, False, "smt")}
-        second = {(("i", 2),): CachedVerdict(False, False, "fol")}
+        first = {key(1): CachedVerdict(True, False, "smt")}
+        second = {key(2): CachedVerdict(False, False, "fol")}
         store.save(first)
         store.save(second)
         assert set(store.load()) == set(first) | set(second)
 
     def test_save_without_merge_replaces(self, tmp_path):
         store = PersistentCacheStore(tmp_path, "k")
-        store.save({(("i", 1),): CachedVerdict(True, False, "smt")})
-        store.save({(("i", 2),): CachedVerdict(True, False, "smt")}, merge=False)
-        assert set(store.load()) == {(("i", 2),)}
+        store.save({key(1): CachedVerdict(True, False, "smt")})
+        store.save({key(2): CachedVerdict(True, False, "smt")}, merge=False)
+        assert set(store.load()) == {key(2)}
 
     def test_merge_saves_do_not_clobber_load_status(self, tmp_path):
         # Regression: merge-saves re-read the file internally; that must
@@ -167,28 +213,58 @@ class TestRoundTrip:
         store = PersistentCacheStore(tmp_path, "k")
         assert store.load() == {}
         assert store.last_load_status == "cold:missing"
-        store.save({(("i", 1),): CachedVerdict(True, False, "smt")})
-        store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
+        store.save({key(1): CachedVerdict(True, False, "smt")})
+        store.save({key(2): CachedVerdict(True, False, "smt")})
         assert store.last_load_status == "cold:missing"
 
     def test_save_caps_store_size_keeping_new_entries(self, tmp_path):
         store = PersistentCacheStore(tmp_path, "k", max_entries=4)
-        store.save({(("i", n),): CachedVerdict(True, False, "smt") for n in range(4)})
-        store.save({(("i", 99),): CachedVerdict(True, False, "fol")})
+        store.save({key(n): CachedVerdict(True, False, "smt") for n in range(4)})
+        store.save({key(99): CachedVerdict(True, False, "fol")})
         loaded = store.load()
         assert len(loaded) == 4
-        assert (("i", 99),) in loaded
+        assert key(99) in loaded
+
+    def test_store_keeps_newest_entries_at_the_cap(self, tmp_path):
+        """10^5 saved verdicts: the newest ``MAX_ENTRIES`` survive, load
+        back intact, and the file stays compact (no timing assertion)."""
+        total = 100_000
+        rng = random.Random(0)
+        entries = {
+            key(n): CachedVerdict(
+                n % 3 == 0,
+                n % 7 == 0,
+                ("smt", "sets", "fol")[n % 3],
+                wall=round(rng.random() * 10, 6),
+                cpu=round(rng.random() * 10, 6),
+            )
+            for n in range(total)
+        }
+        store = PersistentCacheStore(tmp_path, "k")
+        assert store.save(entries) == PersistentCacheStore.MAX_ENTRIES
+        loaded = PersistentCacheStore(tmp_path, "k").load()
+        newest = list(entries)[-PersistentCacheStore.MAX_ENTRIES :]
+        assert list(loaded) == newest
+        for digest in newest[:: total // 100]:
+            expected, got = entries[digest], loaded[digest]
+            assert (got.proved, got.refuted, got.winning_prover) == (
+                expected.proved,
+                expected.refuted,
+                expected.winning_prover,
+            )
+            assert (got.wall, got.cpu) == (expected.wall, expected.cpu)
+        assert store.path.stat().st_size <= 160 * len(loaded)
 
     def test_preload_never_fills_cache_to_eviction_point(self):
         # Regression: an over-large store must not preload the cache so
         # full that the first new verdict's store() wipes every entry.
         cache = ProofCache(max_entries=8)
         cache.preload(
-            {(("i", n),): CachedVerdict(True, False, "smt") for n in range(20)}
+            {key(n): CachedVerdict(True, False, "smt") for n in range(20)}
         )
         assert 0 < len(cache) < 8
-        cache.store((("i", 100),), CachedVerdict(True, False, "smt"))
-        assert cache.lookup((("i", 0),)) is not None  # preload survived
+        cache.store(key(100), CachedVerdict(True, False, "smt"))
+        assert cache.lookup(key(0)) is not None  # preload survived
 
 
 class TestInvalidation:
@@ -260,14 +336,20 @@ class TestCorruptionRecovery:
         store = PersistentCacheStore(tmp_path, "smt:4")
         store.save(sample_entries())
         payload = json.loads(store.path.read_text())
-        payload["entries"].append(
-            ["not-a-fingerprint", {"proved": True, "refuted": False, "prover": "smt"}]
-        )
-        payload["entries"].append([[["i", 9]], "not a verdict"])
-        payload["entries"].append(
-            [[["i", 9.5]], {"proved": True, "refuted": False, "prover": "x"}]
-        )
-        payload["entries"].append("not even a pair")
+        damaged = [
+            ["not-a-fingerprint", True, False, "smt", 0.1, 0.1],
+            [key(9).upper(), True, False, "smt", 0.1, 0.1],
+            [key(9)[:-1], True, False, "smt", 0.1, 0.1],
+            [key(9), "yes", False, "smt", 0.1, 0.1],
+            [key(9), True, False, None, 0.1, 0.1],
+            [key(9), True, False, "smt", "slow", 0.1],
+            [key(9), True, False, "smt", 0.1],
+            [key(9), {"proved": True, "refuted": False, "prover": "smt"}],
+            [[["i", 9]], {"proved": True, "refuted": False, "prover": "x"}],
+            "not even a row",
+            7,
+        ]
+        payload["entries"].extend(damaged)
         store.path.write_text(json.dumps(payload))
         loaded = store.load()
         assert set(loaded) == set(sample_entries())
@@ -284,7 +366,7 @@ def _concurrent_writer(args) -> int:
     store = PersistentCacheStore(directory, "shared-key")
     for round_number in range(5):
         entries = {
-            (("i", writer_id), ("i", round_number)): CachedVerdict(
+            key(writer_id, round_number): CachedVerdict(
                 True, False, f"writer-{writer_id}"
             )
         }
@@ -304,7 +386,7 @@ class TestConcurrentWriters:
         # ...and the inter-process write lock makes merge-on-save atomic:
         # the union of every writer's batches survives.
         assert set(loaded) == {
-            (("i", writer), ("i", round_number))
+            key(writer, round_number)
             for writer in range(3)
             for round_number in range(5)
         }

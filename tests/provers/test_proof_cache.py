@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.logic import builder as b
-from repro.logic.terms import Var
-from repro.provers.cache import ProofCache, task_fingerprint, term_fingerprint
+from repro.logic.sorts import BOOL, INT, OBJ, Sort
+from repro.logic.terms import App, BoolLit, Const, IntLit, Var
+from repro.provers.cache import (
+    CachedVerdict,
+    ProofCache,
+    task_fingerprint,
+    term_fingerprint,
+)
 from repro.provers.dispatch import (
     PortfolioEntry,
     ProverPortfolio,
@@ -75,6 +83,13 @@ class TestFingerprints:
         )
         assert term_fingerprint(nested("a")) == term_fingerprint(renamed)
 
+    def test_fingerprints_are_fixed_size_hex_digests(self):
+        terms = (b.Int(3), _lt("x", "y"), b.ForAll([b.IntVar("i")], _lt("i", "n")))
+        for term in terms:
+            assert re.fullmatch("[0-9a-f]{64}", term_fingerprint(term))
+        task = ProofTask((("h", _lt("x", "y")),), _lt("y", "z"))
+        assert re.fullmatch("[0-9a-f]{64}", task_fingerprint(task))
+
     def test_task_key_ignores_assumption_names_and_order(self):
         goal = _lt("x", "z")
         one = ProofTask((("h1", _lt("x", "y")), ("h2", _lt("y", "z"))), goal)
@@ -86,6 +101,108 @@ class TestFingerprints:
         assert task_fingerprint(
             ProofTask(assumptions, _lt("x", "y"))
         ) != task_fingerprint(ProofTask(assumptions, _lt("y", "x")))
+
+
+class TestDigestEncoding:
+    """Adversarial pairs: terms whose naive concatenated images would
+    coincide must still get different digests."""
+
+    def test_argument_boundaries(self):
+        def pair(left: str, right: str):
+            return App("f", (Const(left, OBJ), Const(right, OBJ)), BOOL)
+
+        assert term_fingerprint(pair("ab", "c")) != term_fingerprint(pair("a", "bc"))
+        # The same split between two fields of one node: name and sort.
+        assert term_fingerprint(Const("ab", Sort("c"))) != term_fingerprint(
+            Const("a", Sort("bc"))
+        )
+
+    def test_names_containing_separators(self):
+        # Length prefixes are 4 big-endian bytes, so names that embed such
+        # bytes, an empty name, or punctuation must not shift a boundary.
+        names = [
+            "",
+            "a",
+            "ab",
+            ",",
+            "(",
+            ")",
+            '"',
+            "\x00",
+            "\x00\x00\x00\x01a",
+            "a\x00\x00\x00\x03obj",
+            "obj",
+            "\x00\x00\x00\x03obj",
+        ]
+        singles = {
+            term_fingerprint(Const(name, Sort(sort)))
+            for name in names
+            for sort in names
+        }
+        assert len(singles) == len(names) ** 2
+        pairs = {
+            term_fingerprint(App("f", (Const(x, OBJ), Const(y, OBJ)), BOOL))
+            for x in names
+            for y in names
+        }
+        assert len(pairs) == len(names) ** 2
+
+    def test_literal_is_not_a_constant_named_like_it(self):
+        assert term_fingerprint(IntLit(1)) != term_fingerprint(Const("1", INT))
+        assert term_fingerprint(BoolLit(True)) != term_fingerprint(Const("true", BOOL))
+        assert term_fingerprint(IntLit(1)) != term_fingerprint(IntLit(-1))
+
+    def test_same_name_under_different_sorts(self):
+        assert term_fingerprint(Var("x", INT)) != term_fingerprint(Var("x", OBJ))
+        assert term_fingerprint(Const("c", INT)) != term_fingerprint(Const("c", OBJ))
+        assert term_fingerprint(Var("x", OBJ)) != term_fingerprint(Const("x", OBJ))
+
+    def test_binder_arities(self):
+        x, y = b.IntVar("x"), b.IntVar("y")
+        body = b.Lt(x, y)
+        one = b.ForAll([x, y], body)
+        nested = b.ForAll([x], b.ForAll([y], body))
+        assert term_fingerprint(one) != term_fingerprint(nested)
+        unused = b.ForAll([x, y], b.Lt(x, b.Int(0)))
+        single = b.ForAll([x], b.Lt(x, b.Int(0)))
+        assert term_fingerprint(unused) != term_fingerprint(single)
+        assert term_fingerprint(b.ForAll([x], b.Lt(x, b.Int(0)))) != term_fingerprint(
+            b.Exists([x], b.Lt(x, b.Int(0)))
+        )
+
+    def test_task_structure(self):
+        p, q = _lt("x", "y"), _lt("y", "z")
+        swapped = {
+            task_fingerprint(ProofTask((("h", p),), q)),
+            task_fingerprint(ProofTask((("h", q),), p)),
+            task_fingerprint(ProofTask((("h", p), ("g", q)), q)),
+            task_fingerprint(ProofTask((), q)),
+        }
+        assert len(swapped) == 4
+        # A task never shares a key with a bare term.
+        assert task_fingerprint(ProofTask((), q)) != term_fingerprint(q)
+
+
+class TestEviction:
+    def test_overflow_keeps_the_newest_entries(self):
+        cache = ProofCache(max_entries=8)
+        keys = [term_fingerprint(b.Int(n)) for n in range(9)]
+        for key in keys[:8]:
+            cache.store(key, CachedVerdict(True, False, "smt"))
+        cache.store(keys[8], CachedVerdict(False, False, "fol"))
+        assert 0 < len(cache) <= 8
+        assert cache.lookup(keys[8]).winning_prover == "fol"
+        assert all(cache.lookup(key) is not None for key in keys[4:])
+        assert cache.lookup(keys[0]) is None
+
+    def test_restoring_a_present_key_never_evicts(self):
+        cache = ProofCache(max_entries=4)
+        keys = [term_fingerprint(b.Int(n)) for n in range(4)]
+        for key in keys:
+            cache.store(key, CachedVerdict(True, False, "smt"))
+        cache.store(keys[0], CachedVerdict(True, False, "sets"))
+        assert len(cache) == 4
+        assert cache.lookup(keys[0]).winning_prover == "sets"
 
 
 class _CountingProver(Prover):

@@ -9,6 +9,7 @@ The daemon- and HTTP-level integration is covered by
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -16,8 +17,6 @@ from repro.logic import builder as b
 from repro.provers.cache import (
     CachedVerdict,
     ProofCache,
-    fingerprint_from_json,
-    fingerprint_to_json,
     task_fingerprint,
 )
 from repro.provers.result import ProofTask
@@ -212,13 +211,15 @@ class TestTenantNamespaces:
         assert cache.key(task) == task_fingerprint(task)
 
     def test_namespaced_key_round_trips_the_store_encoding(self):
-        # Tenant keys must survive the persistent store's JSON encoding
-        # exactly, or a warm restart would leak verdicts across tenants.
+        # Tenant keys are fixed-size digests like bare fingerprints: they
+        # survive the persistent store's JSON exactly, or a warm restart
+        # would leak verdicts across tenants.
         cache = ProofCache()
         cache.namespace = "alice"
         key = cache.key(_task())
-        encoded = json.loads(json.dumps(fingerprint_to_json(key)))
-        assert fingerprint_from_json(encoded) == key
+        assert re.fullmatch("[0-9a-f]{64}", key)
+        assert json.loads(json.dumps(key)) == key
+        assert key != task_fingerprint(_task())
 
     def test_engine_bracketing(self):
         from repro.verifier.engine import VerificationEngine

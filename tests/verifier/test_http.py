@@ -11,8 +11,10 @@ admission snapshot.
 
 from __future__ import annotations
 
+import http.client
 import re
 import threading
+import time
 
 import pytest
 
@@ -50,8 +52,6 @@ def served(tmp_path_factory):
 
 def _wait_address(daemon: VerifierDaemon) -> str:
     # serve_forever binds on its thread; poll until :0 is resolved.
-    import time
-
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
         door = daemon.http_door
@@ -68,6 +68,30 @@ class TestRoutingAndAuth:
         assert status == 200
         assert response["ok"]
         assert response["protocol"] == PROTOCOL_VERSION
+
+    def test_keep_alive_pings_do_not_stall(self, served):
+        # Regression: with Nagle's algorithm on, the body send of every
+        # response waited for the client's delayed ACK (~40 ms each).
+        daemon, _ = served
+        host, port = daemon.http_door.address.rsplit(":", 1)
+        headers = {
+            "X-Jahob-Client": "pytest",
+            "X-Jahob-Signature": sign_request(SECRET, "pytest", "GET", "/v1/ping", b""),
+        }
+        connection = http.client.HTTPConnection(host, int(port), timeout=10.0)
+        try:
+            connection.request("GET", "/v1/ping", headers=headers)
+            connection.getresponse().read()  # connect + warm-up
+            start = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/v1/ping", headers=headers)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"10 keep-alive pings took {elapsed * 1000:.0f} ms"
 
     def test_structures_lists_the_catalogue(self, served):
         _, client = served
