@@ -11,12 +11,14 @@ Besides the pytest-benchmark entry points, this module is runnable as a
 script in **smoke mode** -- ``python benchmarks/bench_table1.py --smoke
 --json out.json`` -- which verifies the fast catalogue classes on a
 suite-scheduled two-job engine and writes a small JSON record (per-class
-timings, scheduling and cache counters).  The CI tier-1 job runs exactly
-this and uploads the JSON as a build artifact, so the perf trajectory is
-recorded per commit.
+timings, scheduling and cache counters, and the size of ``src/``).  The
+CI tier-1 job runs exactly this and uploads the JSON as a build artifact,
+so the perf and size trajectories are recorded per commit.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,18 @@ from repro.verifier.stats import (
 
 _ROWS: list[Table1Row] = []
 _PORTFOLIO_TOTALS = PortfolioStatistics()
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_lines() -> int:
+    """Non-blank lines of the Python sources under ``src/``."""
+    return sum(
+        1
+        for path in _SRC.rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
 
 
 def run_suite(
@@ -133,7 +147,7 @@ def test_table1_parallel_jobs(jobs, benchmark):
         return run_suite(jobs=jobs)
 
     engine, reports = benchmark.pedantic(verify_parallel, rounds=1, iterations=1)
-    stats = engine.parallel_stats_total
+    stats = engine.run_stats_total
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["dispatched"] = stats.dispatched
     benchmark.extra_info["cache_hits_memory"] = stats.hits_memory
@@ -161,7 +175,7 @@ def test_table1_suite_scheduled(jobs, benchmark):
         return run_suite(jobs=jobs, suite_schedule=True)
 
     engine, reports = benchmark.pedantic(verify_suite, rounds=1, iterations=1)
-    stats = engine.last_suite_stats
+    stats = engine.last_run_stats
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["schedule_order"] = ", ".join(stats.schedule_order)
     benchmark.extra_info["dispatched"] = stats.dispatched
@@ -192,17 +206,18 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
     start = _time.monotonic()
     engine, reports = run_suite(jobs=jobs, structures=chosen, suite_schedule=True)
     wall = _time.monotonic() - start
-    stats = engine.last_suite_stats
+    stats = engine.last_run_stats
     counters = performance_counters(engine.portfolio)
     return {
         "mode": "smoke",
         "jobs": jobs,
         "timeout_scale": TIMEOUT_SCALE,
         "wall_seconds": round(wall, 3),
+        "src_lines": src_lines(),
         "schedule_order": list(stats.schedule_order),
-        # The adaptive plan (PR 5): per-class cost and which rung of the
-        # cost model's fallback chain produced it.  A cold CI run records
-        # "static" everywhere; warm-cache experiments show "measured".
+        # The adaptive plan: per-class cost and where it came from.  A
+        # cold CI run records "default" everywhere; warm-cache
+        # experiments show "measured".
         "schedule_plan": [
             {
                 "name": cls.class_name,
@@ -257,8 +272,6 @@ def main(argv=None) -> int:
     record = run_smoke(jobs=args.jobs)
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.json:
-        from pathlib import Path
-
         Path(args.json).write_text(text + "\n", encoding="utf-8")
     print(text)
     if not all(cls["verified"] for cls in record["classes"]):

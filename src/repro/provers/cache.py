@@ -67,9 +67,10 @@ FINGERPRINT_VERSION = 2
 #: ``profiles`` section; version 3 added the per-class ``dependencies``
 #: section (the incremental-verification dependency index mapping source
 #: artifacts to the fingerprints they produce); version 4 keys everything
-#: by hex digest and stores each entry as one flat row; older stores
-#: cold-start cleanly.
-CACHE_FORMAT_VERSION = 4
+#: by hex digest and stores each entry as one flat row; version 5 drops
+#: the ``profiles`` section (class costs are derived from the entries'
+#: timings); older stores cold-start cleanly.
+CACHE_FORMAT_VERSION = 5
 
 
 # Each node hashes a one-byte tag, its length-prefixed operator / name /
@@ -341,10 +342,6 @@ class PersistentCacheStore:
         #: Human-readable outcome of the last :meth:`load` call (the
         #: internal re-reads of merge-saves do not touch it).
         self.last_load_status = "not-loaded"
-        #: The per-class measured cost profiles of the last :meth:`load`
-        #: (JSON-ready ``{class: {"wall", "cpu", "sequents"}}``; empty on
-        #: a cold start).  Consumed by the engine's cost model.
-        self.last_profiles: dict[str, dict] = {}
         #: The per-class dependency index of the last :meth:`load`
         #: (JSON-ready, see ``docs/cache-format.md``; empty on a cold
         #: start).  Consumed by
@@ -356,44 +353,39 @@ class PersistentCacheStore:
     def load(self) -> dict[str, CachedVerdict]:
         """Load the persisted verdicts, or ``{}`` on any mismatch/corruption.
 
-        The per-class cost profiles that rode along are exposed as
-        :attr:`last_profiles` afterwards.
+        The dependency index that rode along is exposed as
+        :attr:`last_dependencies` afterwards.
         """
-        entries, profiles, dependencies, status = self._read()
+        entries, dependencies, status = self._read()
         self.last_load_status = status
-        self.last_profiles = profiles
         self.last_dependencies = dependencies
         return entries
 
-    def _read(
-        self,
-    ) -> tuple[dict[str, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+    def _read(self) -> tuple[dict[str, CachedVerdict], dict[str, dict], str]:
         try:
             raw = self.path.read_text(encoding="utf-8")
         except (FileNotFoundError, NotADirectoryError):
-            return {}, {}, {}, "cold:missing"
+            return {}, {}, "cold:missing"
         except OSError:
-            return {}, {}, {}, "cold:unreadable"
+            return {}, {}, "cold:unreadable"
         return self._parse(raw)
 
-    def _parse(
-        self, raw: str
-    ) -> tuple[dict[str, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+    def _parse(self, raw: str) -> tuple[dict[str, CachedVerdict], dict[str, dict], str]:
         try:
             payload = json.loads(raw)
         except (json.JSONDecodeError, ValueError):
-            return {}, {}, {}, "cold:corrupt"
+            return {}, {}, "cold:corrupt"
         if not isinstance(payload, dict):
-            return {}, {}, {}, "cold:corrupt"
+            return {}, {}, "cold:corrupt"
         if payload.get("format") != CACHE_FORMAT_VERSION:
-            return {}, {}, {}, "cold:format-mismatch"
+            return {}, {}, "cold:format-mismatch"
         if payload.get("fingerprint_version") != FINGERPRINT_VERSION:
-            return {}, {}, {}, "cold:fingerprint-mismatch"
+            return {}, {}, "cold:fingerprint-mismatch"
         if payload.get("portfolio") != self.portfolio_key:
-            return {}, {}, {}, "cold:portfolio-mismatch"
+            return {}, {}, "cold:portfolio-mismatch"
         raw_entries = payload.get("entries")
         if not isinstance(raw_entries, list):
-            return {}, {}, {}, "cold:corrupt"
+            return {}, {}, "cold:corrupt"
         entries: dict[str, CachedVerdict] = {}
         for row in raw_entries:
             try:
@@ -412,27 +404,8 @@ class PersistentCacheStore:
             except (ValueError, TypeError):
                 # Skip individually damaged entries; keep the rest.
                 continue
-        profiles = self._parse_profiles(payload.get("profiles"))
         dependencies = self._parse_dependencies(payload.get("dependencies"))
-        return entries, profiles, dependencies, f"warm:{len(entries)}"
-
-    @staticmethod
-    def _parse_profiles(raw_profiles) -> dict[str, dict]:
-        """Validate the per-class profile section (damaged classes are
-        skipped, exactly like damaged entries)."""
-        if not isinstance(raw_profiles, dict):
-            return {}
-        profiles: dict[str, dict] = {}
-        for name, data in raw_profiles.items():
-            try:
-                profiles[str(name)] = {
-                    "wall": float(data["wall"]),
-                    "cpu": float(data["cpu"]),
-                    "sequents": int(data["sequents"]),
-                }
-            except (ValueError, KeyError, TypeError):
-                continue
-        return profiles
+        return entries, dependencies, f"warm:{len(entries)}"
 
     @staticmethod
     def _parse_dependencies(raw_dependencies) -> dict[str, dict]:
@@ -484,7 +457,6 @@ class PersistentCacheStore:
         self,
         entries: dict[str, CachedVerdict],
         merge: bool = True,
-        profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
     ) -> int:
         """Atomically write ``entries``; returns the number persisted.
@@ -492,15 +464,13 @@ class PersistentCacheStore:
         With ``merge`` (the default) the current on-disk entries are
         re-read and unioned in first, so concurrent writers and repeated
         partial runs accumulate instead of clobbering each other.
-        ``profiles`` optionally carries the per-class measured cost
-        profiles to persist alongside (merged per class name, new data
-        winning); ``dependencies`` likewise carries the JSON-ready
-        per-class dependency index (merged per class name, new data
-        winning).
+        ``dependencies`` optionally carries the JSON-ready per-class
+        dependency index to persist alongside (merged per class name, new
+        data winning).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         with self._write_lock():
-            return self._save_locked(entries, merge, profiles, dependencies)
+            return self._save_locked(entries, merge, dependencies)
 
     @contextlib.contextmanager
     def _write_lock(self):
@@ -519,20 +489,15 @@ class PersistentCacheStore:
         self,
         entries: dict[str, CachedVerdict],
         merge: bool,
-        profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
     ) -> int:
         combined: dict[str, CachedVerdict] = {}
-        combined_profiles: dict[str, dict] = {}
         combined_dependencies: dict[str, dict] = {}
         if merge:
-            disk_entries, disk_profiles, disk_dependencies, _ = self._read()
+            disk_entries, disk_dependencies, _ = self._read()
             combined.update(disk_entries)
-            combined_profiles.update(disk_profiles)
             combined_dependencies.update(disk_dependencies)
         combined.update(entries)
-        if profiles:
-            combined_profiles.update(profiles)
         if dependencies:
             combined_dependencies.update(dependencies)
         if len(combined) > self.max_entries:
@@ -545,7 +510,6 @@ class PersistentCacheStore:
             "format": CACHE_FORMAT_VERSION,
             "fingerprint_version": FINGERPRINT_VERSION,
             "portfolio": self.portfolio_key,
-            "profiles": combined_profiles,
             "dependencies": combined_dependencies,
             "entries": [
                 # 6 decimals ~ microseconds: plenty for scheduling, and it

@@ -186,19 +186,24 @@ class ProverPortfolio:
     # to a sequential :meth:`dispatch` loop over the same task order.
 
     def consult_cache(
-        self, task: ProofTask
+        self, task: ProofTask, fingerprint: str | None = None
     ) -> tuple[str | None, DispatchResult | None]:
         """Phase 1: count the attempt and answer from the cache if possible.
 
-        Returns ``(key, hit)`` where ``key`` is the task's fingerprint (or
+        Returns ``(key, hit)`` where ``key`` is the task's cache key (or
         ``None`` without a cache) and ``hit`` a finished cached
-        :class:`DispatchResult` (or ``None`` on a miss).
+        :class:`DispatchResult` (or ``None`` on a miss).  ``fingerprint``
+        is the task's already computed
+        :func:`~repro.provers.cache.task_fingerprint`, if the caller has it.
         """
         self.statistics.sequents_attempted += 1
         cache = self.proof_cache
         if cache is None:
             return None, None
-        key = cache.key(task)
+        if fingerprint is None:
+            key = cache.key(task)
+        else:
+            key = cache.key_for_fingerprint(fingerprint)
         verdict = cache.lookup(key)
         if verdict is None:
             self.statistics.cache_misses += 1

@@ -2,7 +2,7 @@
 
 from .daemon import DaemonClient, DaemonError, VerifierDaemon
 from .engine import ClassReport, MethodReport, SequentOutcome, VerificationEngine
-from .parallel import ParallelRunStats, ProverPool, WorkerLoad, verify_class_parallel
+from .parallel import ClassScheduleStats, ProverPool, RunStats, WorkerLoad
 from .report import (
     Table1Row,
     Table2Row,
@@ -13,7 +13,7 @@ from .report import (
     table1_rows,
     table2_rows,
 )
-from .scheduler import ClassScheduleStats, SuiteRunStats, verify_suite
+from .scheduler import verify_suite
 from .stats import ClassStatistics, class_statistics
 from .strip import strip_proofs_from_class, strip_proofs_from_method
 

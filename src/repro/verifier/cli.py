@@ -31,7 +31,7 @@ Subcommands::
     jahob-py metrics              scheduling metrics of a running daemon:
                                   per-worker latency histograms, measured
                                   per-class costs, cache provenance and
-                                  the last suite plan (requires --connect)
+                                  the last run's plan (requires --connect)
     jahob-py shutdown             stop a daemon (requires --connect)
     jahob-py worker               run a remote prover worker (--listen to
                                   await coordinators, --connect to register
@@ -59,7 +59,6 @@ import sys
 from ..provers.dispatch import default_portfolio
 from .engine import VerificationEngine
 from .report import (
-    format_parallel,
     format_performance,
     format_suite,
     format_table1,
@@ -78,10 +77,7 @@ DEFAULT_SOCKET = ".jahob.sock"
 
 def _print_perf(engine: VerificationEngine) -> None:
     print(format_performance(portfolio=engine.portfolio))
-    if engine.last_suite_stats is not None:
-        print(format_suite(engine.last_suite_stats))
-    elif engine.parallel_stats_total is not None:
-        print(format_parallel(engine.parallel_stats_total))
+    print(format_suite(engine.run_stats_total))
     if engine.persistent_store is not None:
         print(
             f"Persistent cache: {engine.persistent_store.path} "
@@ -279,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="print a running daemon's scheduling metrics: per-worker "
         "latency, measured per-class costs, cache provenance and the "
-        "last suite plan (requires --connect)",
+        "last run's plan (requires --connect)",
     )
     subparsers.add_parser(
         "shutdown",

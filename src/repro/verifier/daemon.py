@@ -40,7 +40,7 @@ Supported ``"op"`` values:
 ``stats``     engine counters (:meth:`PerformanceCounters.as_dict`)
 ``metrics``   scheduling observability: per-worker answer-latency
               histograms, per-class measured cost profiles, cache-hit
-              provenance, watch-mode latency and the last suite run's
+              provenance, watch-mode latency and the last run's
               schedule plan
 ``watch``     ``{"path": ..., "interval": ..?, "max_events": ..?}`` --
               subscribe to a program file: the daemon polls its content,
@@ -813,7 +813,7 @@ class VerifierDaemon:
 
     def _op_suite(self, request: dict) -> dict:
         reports = self._suite_reports(request)
-        stats = self.engine.last_suite_stats
+        stats = self.engine.last_run_stats
         return {
             "output": format_suite(stats),
             "exit": 0 if all(report.verified for report in reports) else 1,
@@ -862,7 +862,7 @@ class VerifierDaemon:
     def _op_metrics(self, request: dict) -> dict:
         """Scheduling observability, answered lock-free (like ``stats``):
         latency histograms, measured class costs, cache provenance and
-        the last suite plan are all readable while the engine proves."""
+        the last run's plan are all readable while the engine proves."""
         engine = self.engine
         counters = performance_counters(engine.portfolio)
         response = {
@@ -879,7 +879,7 @@ class VerifierDaemon:
             },
             "schedule": None,
         }
-        stats = engine.last_suite_stats
+        stats = engine.last_run_stats
         if stats is not None:
             response["schedule"] = {
                 "jobs": stats.jobs,

@@ -9,6 +9,10 @@ For each method of a class model the engine
 4. offers every sequent to the prover portfolio with per-prover timeouts,
    honouring ``from``-clause assumption selection.
 
+Steps 1--3 and the cache consult run in the plan phase and step 4 in the
+execute phase of the one pipeline in :mod:`repro.verifier.scheduler`,
+which every entry point below goes through.
+
 The per-method and per-class reports carry everything the paper's Tables 1
 and 2 need: sequent counts, proved counts, verification time and the prover
 that discharged each sequent.
@@ -16,14 +20,13 @@ that discharged each sequent.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..frontend.ast import ClassModel, Method
 from ..frontend.lower import lower_method
 from ..gcl.desugar import Desugarer
-from ..provers.cache import PersistentCacheStore, ProofCache, task_fingerprint
+from ..provers.cache import PersistentCacheStore, ProofCache
 from ..provers.dispatch import (
     DispatchResult,
     PortfolioSpec,
@@ -35,15 +38,15 @@ from ..vcgen.assumptions import relevance_filter
 from ..vcgen.sequent import Sequent
 from ..vcgen.vcgen import VcGenerator
 from .costmodel import CostModel
-from .incremental import DependencyIndex, record_from_report, record_from_slots
+from .incremental import DependencyIndex, record_from_slots, verify_class_incremental
+from .parallel import RunStats
+from .scheduler import execute_suite, plan_suite, verify_suite
 from .strip import strip_proofs_from_class
 
 __all__ = [
     "SequentOutcome",
     "MethodReport",
     "ClassReport",
-    "PlanEntry",
-    "ClassPlan",
     "VerificationEngine",
 ]
 
@@ -138,61 +141,17 @@ class ClassReport:
         return used
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One sequent of a verification plan.
-
-    The plan's unit of identity is the (class, method, fingerprint)
-    triple: the fingerprint is the alpha-normalized cache identity of the
-    sequent's proof task, so two plans can be diffed without comparing
-    terms.  ``dispatch`` marks the sequents the cache could not answer --
-    the ones execution will actually send to the provers.
-    """
-
-    class_name: str
-    method_name: str
-    fingerprint: str
-    dispatch: bool
-
-
-@dataclass
-class ClassPlan:
-    """The planned (but not yet executed) verification of one class.
-
-    Produced by :meth:`VerificationEngine.plan_class_run`: sequent
-    generation, cache consults and fingerprint dedup have happened (in
-    deterministic sequential order -- planning *is* the cache-authority
-    phase), but nothing has been dispatched.  Feed it to
-    :meth:`VerificationEngine.execute_class_plan` to run the provers on
-    the surviving shard and assemble the report.
-    """
-
-    target: ClassModel
-    slots: list = field(default_factory=list)
-    shard: list = field(default_factory=list)
-    stats: object = None
-    entries: list[PlanEntry] = field(default_factory=list)
-    #: Whether execution should record the class's dependency record
-    #: (False for strip-proofs ablation runs, whose stripped bodies must
-    #: not overwrite the real program's record).
-    record_index: bool = True
-
-    @property
-    def dispatch_count(self) -> int:
-        return len(self.shard)
-
-
 class VerificationEngine:
     """Drives lowering, VC generation and prover dispatch.
 
     ``jobs`` > 1 shards prover dispatch across that many worker processes
-    (:mod:`repro.verifier.parallel`); verdicts stay identical to the
-    sequential path.  ``cache_dir`` attaches a persistent
-    :class:`~repro.provers.cache.PersistentCacheStore` keyed by the
-    portfolio configuration: verdicts are loaded at start-up and -- unless
-    ``persist`` is False -- written back atomically after every
-    :meth:`verify_class`, so repeated runs of an unchanged suite are
-    answered almost entirely from disk.
+    (:mod:`repro.verifier.parallel`); ``jobs`` = 1 runs the provers in
+    this process.  Verdicts do not depend on it.  ``cache_dir`` attaches
+    a persistent :class:`~repro.provers.cache.PersistentCacheStore` keyed
+    by the portfolio configuration: verdicts are loaded at start-up and
+    -- unless ``persist`` is False -- written back atomically after every
+    run, so repeated runs of an unchanged suite are answered almost
+    entirely from disk.
 
     ``keep_pool_warm`` keeps the worker pool alive between verification
     calls (the daemon, :mod:`repro.verifier.daemon`, sets it so repeat
@@ -209,7 +168,7 @@ class VerificationEngine:
     registered with a coordinator-side
     :class:`~repro.verifier.remote.WorkerRegistry`.  The parent keeps all
     cache authority either way, so verdicts stay bit-identical to
-    sequential runs.
+    in-process runs.
     """
 
     def __init__(
@@ -257,23 +216,15 @@ class VerificationEngine:
         self.persist = persist
         self.keep_pool_warm = keep_pool_warm
         self.persistent_store: PersistentCacheStore | None = None
-        #: :class:`~repro.verifier.parallel.ParallelRunStats` of the most
-        #: recent parallel ``verify_class`` call (None after sequential runs).
-        self.last_parallel_stats = None
-        #: Aggregate of every parallel run this engine performed.
-        self.parallel_stats_total = None
-        #: :class:`~repro.verifier.scheduler.SuiteRunStats` of the most
-        #: recent :meth:`verify_suite` call.
-        self.last_suite_stats = None
+        #: :class:`~repro.verifier.parallel.RunStats` of the most recent
+        #: run (any entry point), and the running total of every run.
+        self.last_run_stats: RunStats | None = None
+        self.run_stats_total = RunStats(jobs=self.jobs)
         self._pool = None
         self._flushed_mutations = 0
-        self._flushed_profile_mutations = 0
         self._flushed_dependency_mutations = 0
-        #: :class:`~repro.verifier.incremental.IncrementalRunStats` of the
-        #: most recent :meth:`verify_class_incremental` call.
-        self.last_incremental_stats = None
-        #: Measured cost profiles feeding the suite scheduler's adaptive
-        #: planning and the daemon's ``metrics`` op.
+        #: Measured costs feeding the scheduler's longest-first planning
+        #: and the daemon's ``metrics`` op.
         self.cost_model = CostModel()
         #: Per-class dependency records mapping source artifacts to the
         #: sequent fingerprints they produce (incremental verification).
@@ -286,7 +237,6 @@ class VerificationEngine:
             # The cost model sees *every* persisted timing, including the
             # tail the preload cap keeps out of the verdict cache.
             self.cost_model.ingest_entries(entries)
-            self.cost_model.ingest_profiles(self.persistent_store.last_profiles)
             self.dependency_index = DependencyIndex(
                 self.persistent_store.last_dependencies
             )
@@ -309,9 +259,7 @@ class VerificationEngine:
     def task_for(self, sequent: Sequent) -> ProofTask:
         """The proof task the portfolio receives for ``sequent``.
 
-        Applies the engine's ``from``-clause and relevance-filter policy;
-        the sequential and parallel paths share this so both dispatch
-        byte-identical tasks.
+        Applies the engine's ``from``-clause and relevance-filter policy.
         """
         task = sequent.to_task(apply_from_clause=self.apply_from_clauses)
         if self.use_relevance_filter and not (
@@ -320,116 +268,15 @@ class VerificationEngine:
             task = relevance_filter(task)
         return task
 
-    # -- plan / execute ---------------------------------------------------------------
-
-    def plan_class_run(self, cls: ClassModel, strip_proofs: bool = False) -> ClassPlan:
-        """Phase 1: plan ``cls``'s verification without dispatching.
-
-        Generates every sequent in deterministic sequential order, answers
-        cache hits, folds fingerprint duplicates, and returns a
-        :class:`ClassPlan` whose ``entries`` are the run's (class, method,
-        fingerprint) triples -- ``dispatch=True`` for the unique misses
-        execution will actually prove.  Hand the plan to
-        :meth:`execute_class_plan`.
-        """
-        from .parallel import ParallelRunStats, plan_class
-
-        target = strip_proofs_from_class(cls) if strip_proofs else cls
-        stats = ParallelRunStats(jobs=self.jobs)
-        shard: list = []
-        pending_by_key: dict[str, int] = {}
-        slots = plan_class(self, target, shard, pending_by_key, stats)
-        entries = [
-            PlanEntry(
-                class_name=target.name,
-                method_name=target.methods[slot.method_index].name,
-                fingerprint=task_fingerprint(slot.task),
-                dispatch=slot.shard_index is not None,
-            )
-            for slot in slots
-        ]
-        return ClassPlan(
-            target=target,
-            slots=slots,
-            shard=shard,
-            stats=stats,
-            entries=entries,
-            record_index=not strip_proofs,
-        )
-
-    def execute_class_plan(self, plan: ClassPlan, jobs: int | None = None):
-        """Phases 2--3: dispatch a plan's shard and assemble the report.
-
-        Returns ``(ClassReport, ParallelRunStats)``.  Dispatch goes
-        through the shared :mod:`repro.verifier.parallel` phases (pool or
-        in-parent for ``jobs <= 1``), the merge replays verdicts in
-        deterministic shard order, and -- unless the plan opted out -- the
-        class's dependency record is refreshed for future incremental
-        runs.
-        """
-        from .parallel import (
-            build_class_report,
-            resolve_duplicates,
-            resolve_shard,
-            run_shard,
-        )
-
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        stats = plan.stats
-        stats.jobs = jobs
-        stats.dispatched = len(plan.shard)
-        results = run_shard(self, plan.shard, jobs, stats)
-        resolve_shard(self.portfolio, plan.shard, results)
-        resolve_duplicates(self.portfolio, plan.slots, results)
-        for slot in plan.shard:
-            self.observe_timing(plan.target.name, slot.key, results[slot.shard_index])
-        self.cost_model.reprofile(
-            plan.target.name, [slot.key for slot in plan.slots]
-        )
-        if plan.record_index:
-            self.record_dependencies(plan.target, plan.slots)
-        return build_class_report(plan.target, plan.slots), stats
-
-    def record_dependencies(self, target: ClassModel, slots) -> None:
-        """Refresh ``target``'s dependency record from a full run's slots."""
-        if self.portfolio.proof_cache is None:
-            return
-        self.dependency_index.record(
-            target.name, record_from_slots(self, target, slots)
-        )
-
     # -- verification ---------------------------------------------------------------
 
-    def verify_method(self, cls: ClassModel, method: Method) -> MethodReport:
-        """Verify one method, dispatching every sequent to the portfolio."""
-        start = time.monotonic()
-        report = MethodReport(cls.name, method.name)
-        cache = self.portfolio.proof_cache
-        for sequent in self.method_sequents(cls, method):
-            task = self.task_for(sequent)
-            dispatch = self.portfolio.dispatch(task)
-            report.outcomes.append(SequentOutcome(sequent, dispatch))
-            if not dispatch.cached:
-                # key() re-fingerprints, but fingerprints are memoized so
-                # this is a dict lookup, not a traversal.
-                key = cache.key(task) if cache is not None else None
-                self.observe_timing(cls.name, key, dispatch)
-        report.elapsed = time.monotonic() - start
-        return report
-
-    def verify_class(
-        self,
-        cls: ClassModel,
-        strip_proofs: bool = False,
-        parallel: int | None = None,
-    ) -> ClassReport:
+    def verify_class(self, cls: ClassModel, strip_proofs: bool = False) -> ClassReport:
         """Verify every method of ``cls``.
 
         With ``strip_proofs`` the integrated proof language constructs are
-        removed first (the Table 2 ablation).  ``parallel`` overrides the
-        engine's ``jobs`` setting for this call; any value > 1 shards
-        dispatch across worker processes with verdicts identical to the
-        sequential path.
+        removed first (the Table 2 ablation); such a run leaves the class's
+        cost profile and dependency record alone, since it verifies a
+        different program under the same name.
 
         The portfolio's sequent-level proof cache stays warm across the
         whole run: the near-duplicate split sequents of one method, the
@@ -437,46 +284,12 @@ class VerificationEngine:
         the unchanged sequents of the stripped/annotated pair are each
         dispatched to the provers only once.
         """
-        jobs = self.jobs if parallel is None else max(1, int(parallel))
-        if jobs > 1 or self.uses_remote_workers:
-            plan = self.plan_class_run(cls, strip_proofs=strip_proofs)
-            report, run_stats = self.execute_class_plan(plan, jobs=jobs)
-            self.last_parallel_stats = run_stats
-            if self.parallel_stats_total is None:
-                from .parallel import ParallelRunStats
-
-                self.parallel_stats_total = ParallelRunStats(jobs=jobs)
-            self.parallel_stats_total.merge(run_stats)
-        else:
-            target = strip_proofs_from_class(cls) if strip_proofs else cls
-            report = ClassReport(cls.name)
-            for method in target.methods:
-                report.methods.append(self.verify_method(target, method))
-            self.last_parallel_stats = None
-            cache = self.portfolio.proof_cache
-            if cache is not None:
-                # Same ground-truth profile rebuild the scheduled paths
-                # do; the dispatched tasks ride in the report, so no
-                # sequent regeneration is needed.
-                self.cost_model.reprofile(
-                    target.name,
-                    [
-                        cache.key(outcome.dispatch.task)
-                        for method_report in report.methods
-                        for outcome in method_report.outcomes
-                    ],
-                )
-                if not strip_proofs:
-                    self.dependency_index.record(
-                        target.name, record_from_report(self, target, report)
-                    )
-        self.last_suite_stats = None
-        self.flush_persistent_cache()
+        target = strip_proofs_from_class(cls) if strip_proofs else cls
+        plan = plan_suite(self, [target], self.jobs, record=not strip_proofs)
+        (report,), _ = execute_suite(self, plan, self.jobs)
         return report
 
-    def verify_class_incremental(
-        self, cls: ClassModel, jobs: int | None = None
-    ):
+    def verify_class_incremental(self, cls: ClassModel):
         """Re-verify ``cls`` against its dependency record.
 
         Returns ``(ClassReport,
@@ -487,14 +300,7 @@ class VerificationEngine:
         the provers.  Verdicts are identical to a full
         :meth:`verify_class` of the same class.
         """
-        from .incremental import verify_class_incremental as _verify_incremental
-
-        report, stats = _verify_incremental(self, cls, jobs=jobs)
-        self.last_incremental_stats = stats
-        self.last_parallel_stats = None
-        self.last_suite_stats = None
-        self.flush_persistent_cache()
-        return report, stats
+        return verify_class_incremental(self, cls)
 
     def verify_suite(
         self,
@@ -511,18 +317,21 @@ class VerificationEngine:
         verdicts, attribution and counters identical to calling
         :meth:`verify_class` on each class in that order.
         """
-        from .scheduler import verify_suite as _verify_suite
-
         if classes is None:
             from ..suite.catalog import all_structures
 
             classes = all_structures()
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        reports, run_stats = _verify_suite(self, classes, jobs)
-        self.last_suite_stats = run_stats
-        self.last_parallel_stats = None
-        self.flush_persistent_cache()
+        reports, _ = verify_suite(self, classes, jobs)
         return reports
+
+    def record_dependencies(self, target: ClassModel, slots) -> None:
+        """Refresh ``target``'s dependency record from a run's slots."""
+        if self.portfolio.proof_cache is None:
+            return
+        self.dependency_index.record(
+            target.name, record_from_slots(self, target, slots)
+        )
 
     # -- worker-pool management -----------------------------------------------------
 
@@ -638,44 +447,25 @@ class VerificationEngine:
         if cache is not None:
             cache.namespace = tenant or ""
 
-    # -- cost model ------------------------------------------------------------------
-
-    def observe_timing(self, class_name: str, key, result) -> None:
-        """Fold one actually-dispatched sequent's measured cost into the
-        cost model (cache hits carry no new timing and are ignored)."""
-        if result.cached:
-            return
-        self.cost_model.observe(class_name, key, result.wall, result.elapsed)
-
     # -- persistence ---------------------------------------------------------------
 
     def flush_persistent_cache(self) -> int:
         """Write the in-memory proof cache back to the persistent store.
 
         No-op (returning 0) without a store, with ``persist`` disabled, or
-        when no new verdict was learned since the last flush; otherwise
-        returns the number of entries now on disk.  The cost model's
-        per-class profiles ride along with every flush.
+        when neither a verdict nor a dependency record changed since the
+        last flush; otherwise returns the number of entries now on disk.
         """
         cache = self.portfolio.proof_cache
         if self.persistent_store is None or not self.persist or cache is None:
             return 0
-        # Profiles mutate *after* the run's last verdict checkpoint, so
-        # they need their own dirtiness check: a suite whose dispatch
-        # count is an exact multiple of the checkpoint interval would
-        # otherwise leave the final flush with nothing-new verdicts and
-        # silently drop the run's profiles.
         if (
             cache.mutations == self._flushed_mutations
-            and self.cost_model.mutations == self._flushed_profile_mutations
             and self.dependency_index.mutations == self._flushed_dependency_mutations
         ):
             return 0
         self._flushed_mutations = cache.mutations
-        self._flushed_profile_mutations = self.cost_model.mutations
         self._flushed_dependency_mutations = self.dependency_index.mutations
         return self.persistent_store.save(
-            cache.snapshot(),
-            profiles=self.cost_model.profiles_snapshot(),
-            dependencies=self.dependency_index.snapshot(),
+            cache.snapshot(), dependencies=self.dependency_index.snapshot()
         )

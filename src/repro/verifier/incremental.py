@@ -6,21 +6,23 @@ class even though the alpha-normalized fingerprints in the proof cache
 (:func:`repro.provers.cache.task_fingerprint`) already identify exactly
 which sequents an edit invalidates.  This module closes that loop:
 
-* every full verification records, per class, a **dependency record**
+* every verification run records, per class, a **dependency record**
   mapping the source artifacts that produce sequents -- method bodies,
   the invariant set, the state declarations and the engine's translation
   policy -- to the fingerprints they produced (:func:`record_from_slots`);
 * the records persist alongside the proof cache (see
   ``docs/cache-format.md``) in :class:`DependencyIndex`;
 * :func:`verify_class_incremental` diffs an edited class against its
-  record.  A method whose digest is unchanged (under unchanged class
-  artifacts) resolves **without regenerating its sequents**: the recorded
-  fingerprints are looked up straight in the proof cache and answered as
-  ``cache_origin="index"`` verdicts.  Only changed methods are re-lowered,
-  and of their sequents only the fingerprints absent from the record are
-  *dirty* -- everything else is answered by the warm cache.  The dirty
-  set equals the fingerprint diff (new set minus indexed set) exactly,
-  which the differential tests assert.
+  record (:func:`plan_from_index`).  A method whose digest is unchanged
+  (under unchanged class artifacts) resolves **without regenerating its
+  sequents**: the recorded fingerprints are looked up straight in the
+  proof cache and answered as ``cache_origin="index"`` verdicts.  Only
+  changed methods are re-lowered, and of their sequents only the
+  fingerprints absent from the record are *dirty* -- everything else is
+  answered by the warm cache.  The dirty set equals the fingerprint diff
+  (new set minus indexed set) exactly, which the differential tests
+  assert.  Execution is the same :func:`~repro.verifier.scheduler.execute_suite`
+  every other entry point runs.
 
 Digests are structural, not textual: terms digest through their
 alpha-normalized fingerprints, so renaming a bound variable or reordering
@@ -30,13 +32,16 @@ assumptions does not dirty a method, while any semantic edit does.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel, Method
 from ..logic.terms import Term
-from ..provers.cache import task_fingerprint, term_fingerprint
+from ..provers.cache import term_fingerprint
+from ..provers.dispatch import DispatchResult
+from .parallel import RunStats, _Slot, plan_method
 
 __all__ = [
     "DependencyIndex",
@@ -45,6 +50,7 @@ __all__ = [
     "artifact_digest",
     "class_artifacts",
     "method_digest",
+    "plan_from_index",
     "record_from_report",
     "record_from_slots",
     "verify_class_incremental",
@@ -111,8 +117,14 @@ def class_artifacts(engine, cls: ClassModel) -> dict[str, str]:
     }
 
 
+@functools.lru_cache(maxsize=4096)
 def method_digest(method: Method) -> str:
-    """Digest of one method's contract, body and signature."""
+    """Digest of one method's contract, body and signature.
+
+    Memoized (the frozen AST hashes structurally): an incremental run
+    digests each method twice, to diff it and to record it, and a warm
+    re-run digests every method of every class.
+    """
     return artifact_digest(method)
 
 
@@ -161,14 +173,14 @@ class DependencyIndex:
 def record_from_slots(engine, target: ClassModel, slots) -> dict:
     """Build ``target``'s dependency record from its planned slots.
 
-    ``slots`` is the complete, sequentially ordered slot list of a full
-    verification (every slot carries its task); the record maps each
+    ``slots`` is the complete, ordered slot list of a run (each slot
+    carries the fingerprint it was planned with); the record maps each
     method to the fingerprints its sequents produced.
     """
     by_method: dict[int, list] = {}
     for slot in slots:
         by_method.setdefault(slot.method_index, []).append(
-            [slot.sequent.label, task_fingerprint(slot.task)]
+            [slot.sequent.label, slot.fingerprint]
         )
     methods = []
     for method_index, method in enumerate(target.methods):
@@ -184,22 +196,9 @@ def record_from_slots(engine, target: ClassModel, slots) -> dict:
     return {"artifacts": class_artifacts(engine, target), "methods": methods}
 
 
-def record_from_report(engine, target: ClassModel, report) -> dict:
-    """Build ``target``'s dependency record from a sequential run's report.
-
-    The sequential path has no slot list, but every outcome carries its
-    dispatched task, which is all the record needs.
-    """
-    methods = []
-    for method, method_report in zip(target.methods, report.methods):
-        sequents = [
-            [outcome.sequent.label, task_fingerprint(outcome.dispatch.task)]
-            for outcome in method_report.outcomes
-        ]
-        methods.append(
-            [method.name, {"digest": method_digest(method), "sequents": sequents}]
-        )
-    return {"artifacts": class_artifacts(engine, target), "methods": methods}
+# Nothing calls this name: the benchmark's tracer (perfbench/tracer.py)
+# wraps it, and its table may only change together with the benchmark.
+record_from_report = record_from_slots
 
 
 # ---------------------------------------------------------------------------
@@ -259,157 +258,124 @@ class IncrementalRunStats:
         }
 
 
-def _resolve_clean_method(engine, record: dict):
-    """Resolve one unchanged method purely from cache + index.
+def _resolve_clean_method(engine, method_index: int, record: dict, stats: RunStats):
+    """Slots for one unchanged method, resolved purely from cache + index.
 
-    Returns the synthesized outcome list, or ``None`` if any recorded
-    verdict has been evicted (the caller then re-plans the method like a
-    dirty one).  Statistics fold exactly like ``consult_cache`` hits, so
-    counters stay comparable to a full run.
+    Returns ``None`` if any recorded verdict has been evicted (the caller
+    then re-plans the method like a dirty one).  Statistics fold exactly
+    like ``consult_cache`` hits, so counters stay comparable to a full
+    run.
     """
-    # Imported lazily: engine.py imports this module at the top level.
-    from ..provers.dispatch import DispatchResult
-    from .engine import SequentOutcome
-
     portfolio = engine.portfolio
     cache = portfolio.proof_cache
-    resolved = []
+    found = []
     for label, fingerprint in record["sequents"]:
-        verdict = cache.lookup(cache.key_for_fingerprint(fingerprint))
+        key = cache.key_for_fingerprint(fingerprint)
+        verdict = cache.lookup(key)
         if verdict is None:
             return None
-        resolved.append((label, verdict))
-    outcomes = []
-    for label, verdict in resolved:
-        portfolio.statistics.sequents_attempted += 1
-        portfolio.statistics.cache_hits += 1
+        found.append((label, fingerprint, key, verdict))
+    counters = portfolio.statistics
+    slots = []
+    for label, fingerprint, key, verdict in found:
+        counters.sequents_attempted += 1
+        counters.cache_hits += 1
         if verdict.origin == "disk":
-            portfolio.statistics.cache_hits_disk += 1
+            counters.cache_hits_disk += 1
+            stats.hits_disk += 1
+        else:
+            stats.hits_memory += 1
         if verdict.proved:
-            portfolio.statistics.sequents_proved += 1
-        outcomes.append(
-            SequentOutcome(
+            counters.sequents_proved += 1
+        result = DispatchResult(
+            task=None,
+            proved=verdict.proved,
+            refuted=verdict.refuted,
+            winning_prover=verdict.winning_prover,
+            cached=True,
+            cache_origin="index",
+        )
+        slots.append(
+            _Slot(
+                method_index,
                 ResolvedSequent(label),
-                DispatchResult(
-                    task=None,
-                    proved=verdict.proved,
-                    refuted=verdict.refuted,
-                    winning_prover=verdict.winning_prover,
-                    cached=True,
-                    cache_origin="index",
-                ),
+                None,
+                key=key,
+                fingerprint=fingerprint,
+                result=result,
             )
         )
-    return outcomes
+    return slots
 
 
-def verify_class_incremental(engine, cls: ClassModel, jobs: int | None = None):
-    """Re-verify ``cls`` against its dependency record.
+def plan_from_index(
+    engine,
+    cls: ClassModel,
+    shard: list[_Slot],
+    pending_by_key: dict[str, int],
+    stats: RunStats,
+):
+    """Plan ``cls`` against its dependency record.
 
-    Returns ``(ClassReport, IncrementalRunStats)``.  Verdicts are
-    identical to a full (cold) verification of the same class: clean
-    sequents resolve from the proof cache under their recorded
-    fingerprints, dirty ones run through the normal plan/dispatch/resolve
-    phases.  Falls back to a cold plan (everything dirty) when the engine
-    has no proof cache or no usable record.
+    Returns ``(slots, IncrementalRunStats)``.  Unchanged methods
+    contribute slots already resolved from the index; changed ones go
+    through :func:`~repro.verifier.parallel.plan_method`, whose misses join
+    ``shard``.  Everything is dirty (a cold plan) when the engine has no
+    proof cache or no usable record.
     """
-    from .engine import ClassReport, MethodReport, SequentOutcome
-    from .parallel import (
-        ParallelRunStats,
-        _Slot,
-        plan_method,
-        resolve_duplicates,
-        resolve_shard,
-        run_shard,
-    )
-
-    start = time.monotonic()
-    jobs = engine.jobs if jobs is None else max(1, int(jobs))
     cache = engine.portfolio.proof_cache
-    index = engine.dependency_index
-    stats = IncrementalRunStats(cls.name, jobs=jobs, methods_total=len(cls.methods))
-
-    old = index.get(cls.name) if cache is not None else None
-    artifacts = class_artifacts(engine, cls) if cache is not None else {}
-    shared_clean = old is not None and old.get("artifacts") == artifacts
-    stats.cold_start = not shared_clean
-    old_methods: dict[str, dict] = (
-        {name: rec for name, rec in old["methods"]} if shared_clean else {}
+    delta = IncrementalRunStats(
+        cls.name, jobs=engine.jobs, methods_total=len(cls.methods)
     )
+    old = engine.dependency_index.get(cls.name) if cache is not None else None
+    shared_clean = old is not None and old["artifacts"] == class_artifacts(engine, cls)
+    delta.cold_start = not shared_clean
+    old_methods: dict[str, dict] = dict(old["methods"]) if shared_clean else {}
     indexed_fps = {
         fingerprint
         for rec in old_methods.values()
         for _, fingerprint in rec["sequents"]
     }
-
-    run_stats = ParallelRunStats(jobs=jobs)
-    shard: list[_Slot] = []
-    pending_by_key: dict[str, int] = {}
-    clean_outcomes: dict[int, list] = {}
-    dirty_slots: dict[int, list[_Slot]] = {}
-    new_methods: list = []
-
+    shard_start = len(shard)
+    slots: list[_Slot] = []
     for method_index, method in enumerate(cls.methods):
         record = old_methods.get(method.name)
-        digest = method_digest(method) if cache is not None else ""
-        if record is not None and record["digest"] == digest:
-            outcomes = _resolve_clean_method(engine, record)
-            if outcomes is not None:
-                clean_outcomes[method_index] = outcomes
-                stats.methods_skipped += 1
-                stats.sequents_clean += len(outcomes)
-                stats.sequents_total += len(outcomes)
-                new_methods.append([method.name, record])
+        if record is not None and record["digest"] == method_digest(method):
+            clean = _resolve_clean_method(engine, method_index, record, stats)
+            if clean is not None:
+                slots.extend(clean)
+                delta.methods_skipped += 1
+                delta.sequents_clean += len(clean)
                 continue
-        slots = plan_method(
-            engine, cls, method, method_index, shard, pending_by_key, run_stats
+        planned = plan_method(
+            engine, cls, method, method_index, shard, pending_by_key, stats
         )
-        dirty_slots[method_index] = slots
-        sequents = []
-        for slot in slots:
-            fingerprint = task_fingerprint(slot.task)
-            sequents.append([slot.sequent.label, fingerprint])
-            if fingerprint in indexed_fps:
-                stats.sequents_clean += 1
+        for slot in planned:
+            if slot.fingerprint in indexed_fps:
+                delta.sequents_clean += 1
             else:
-                stats.sequents_dirty += 1
-                stats.dirty_labels.append(f"{method.name}:{slot.sequent.label}")
-        stats.sequents_total += len(slots)
-        new_methods.append([method.name, {"digest": digest, "sequents": sequents}])
+                delta.sequents_dirty += 1
+                delta.dirty_labels.append(f"{method.name}:{slot.sequent.label}")
+        slots.extend(planned)
+    stats.sequents_total += len(slots)
+    delta.sequents_total = len(slots)
+    delta.dispatched = len(shard) - shard_start
+    return slots, delta
 
-    run_stats.sequents_total = stats.sequents_total
-    run_stats.dispatched = len(shard)
-    stats.dispatched = len(shard)
-    results = run_shard(engine, shard, jobs, run_stats)
-    resolve_shard(engine.portfolio, shard, results)
-    for slots in dirty_slots.values():
-        resolve_duplicates(engine.portfolio, slots, results)
-    for slot in shard:
-        engine.observe_timing(cls.name, slot.key, results[slot.shard_index])
-    if cache is not None:
-        engine.cost_model.reprofile(
-            cls.name,
-            [
-                cache.key_for_fingerprint(fingerprint)
-                for _, rec in new_methods
-                for _, fingerprint in rec["sequents"]
-            ],
-        )
 
-    report = ClassReport(cls.name)
-    for method_index, method in enumerate(cls.methods):
-        method_report = MethodReport(cls.name, method.name)
-        if method_index in clean_outcomes:
-            method_report.outcomes = clean_outcomes[method_index]
-        else:
-            for slot in dirty_slots[method_index]:
-                method_report.outcomes.append(SequentOutcome(slot.sequent, slot.result))
-        method_report.elapsed = sum(
-            outcome.dispatch.elapsed for outcome in method_report.outcomes
-        )
-        report.methods.append(method_report)
+def verify_class_incremental(engine, cls: ClassModel):
+    """Re-verify ``cls`` against its dependency record.
 
-    if cache is not None:
-        index.record(cls.name, {"artifacts": artifacts, "methods": new_methods})
-    stats.wall = time.monotonic() - start
-    return report, stats
+    Returns ``(ClassReport, IncrementalRunStats)``.  Verdicts are
+    identical to a full (cold) verification of the same class: clean
+    sequents resolve from the proof cache under their recorded
+    fingerprints, dirty ones run through the normal execute phase.
+    """
+    from .scheduler import execute_suite, plan_suite
+
+    start = time.monotonic()
+    plan = plan_suite(engine, [cls], engine.jobs, incremental=True)
+    (report,), _ = execute_suite(engine, plan, engine.jobs)
+    (delta,) = plan.deltas
+    delta.wall = time.monotonic() - start
+    return report, delta

@@ -1,18 +1,20 @@
-"""Parallel sharded prover dispatch.
+"""Sharded prover dispatch: the phases of the verification pipeline.
 
 The sequents of a class are independent proof obligations, so the paper's
 Tables 1--2 workload is embarrassingly parallel once each sequent is cheap
-to fingerprint (PR 1).  This module shards the *cache-missing* sequents of
-a class across a ``ProcessPoolExecutor`` worker pool and deterministically
-merges the verdicts back into the same :class:`~repro.verifier.engine.MethodReport`
-/ :class:`~repro.verifier.engine.ClassReport` shapes the sequential path
-produces.
+to fingerprint.  This module holds the phases every entry point runs (the
+suite scheduler, :mod:`repro.verifier.scheduler`, composes them into the
+one plan -> execute pipeline): the *cache-missing* sequents are sharded
+across worker processes (or run in the parent for ``jobs <= 1``) and the
+verdicts are merged back, deterministically, into
+:class:`~repro.verifier.engine.MethodReport` /
+:class:`~repro.verifier.engine.ClassReport` shapes.
 
 Design: parent-side cache authority
 -----------------------------------
 
-All caching decisions happen in the parent process, in the exact sequent
-order the sequential engine would use:
+All caching decisions happen in the parent process, in deterministic
+class/method/sequent order:
 
 1. sequent generation runs in the parent (it is cheap and memoized);
 2. for every task, the parent runs the dispatcher's cache phase
@@ -21,25 +23,23 @@ order the sequential engine would use:
 3. misses are *deduplicated by fingerprint*: the first occurrence becomes
    the shard representative, later occurrences are resolved as memory
    cache hits once the representative's verdict arrives -- exactly what
-   the sequential warm cache would have done;
+   a warm cache would have answered in a one-sequent-at-a-time loop;
 4. only unique misses are shipped to workers.  Each worker rebuilds the
    prover portfolio from a picklable :class:`~repro.provers.dispatch.PortfolioSpec`
    (prover objects never cross process boundaries) and runs the pure
    prover phase with no cache of its own;
 5. the parent replays each verdict into its own statistics and cache
    (:meth:`record_outcome` / :meth:`store_verdict`), so counters, verdicts,
-   prover attribution and cache contents are bit-identical to a sequential
-   run over the same sequents.
+   prover attribution and cache contents do not depend on ``jobs``.
 
 Because the parent owns the cache, there is exactly one writer for the
 persistent store and workers stay read-free; a fully warm run dispatches
 nothing and never even spawns the pool.
 
-The phases are exposed as free functions (:func:`plan_class`,
+The phases are free functions (:func:`plan_class`, :func:`plan_method`,
 :func:`run_shard`, :func:`resolve_shard`, :func:`resolve_duplicates`,
-:func:`build_class_report`) so the suite-level scheduler
-(:mod:`repro.verifier.scheduler`) can plan *several* classes into one shard
-before dispatching anything.  :class:`ProverPool` wraps the executor so the
+:func:`build_class_report`) so one plan can span several classes before
+anything is dispatched.  :class:`ProverPool` wraps the executor so the
 daemon (:mod:`repro.verifier.daemon`) can keep workers warm across
 requests.
 """
@@ -52,12 +52,15 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
+from ..provers.cache import task_fingerprint
 from ..provers.dispatch import DispatchResult, PortfolioSpec, ProverPortfolio
 from ..provers.result import ProofTask
 from ..vcgen.sequent import Sequent
+from .costmodel import HINT_DEFAULT
 
 __all__ = [
-    "ParallelRunStats",
+    "ClassScheduleStats",
+    "RunStats",
     "WorkerLoad",
     "WorkerBackend",
     "ProverPool",
@@ -67,7 +70,6 @@ __all__ = [
     "resolve_shard",
     "resolve_duplicates",
     "build_class_report",
-    "verify_class_parallel",
 ]
 
 
@@ -87,12 +89,35 @@ class WorkerLoad:
 
 
 @dataclass
-class ParallelRunStats:
-    """Scheduling statistics of one :func:`verify_class_parallel` run.
+class ClassScheduleStats:
+    """One class's share of a run.
+
+    ``cost_hint`` is the cost the scheduler ordered the class by and
+    ``hint_source`` where it came from (``measured`` or ``default``, see
+    :mod:`repro.verifier.costmodel`).
+    """
+
+    class_name: str
+    cost_hint: float
+    sequents: int = 0
+    dispatched: int = 0
+    hits_memory: int = 0
+    hits_disk: int = 0
+    duplicates_folded: int = 0
+    hint_source: str = HINT_DEFAULT
+
+
+@dataclass
+class RunStats:
+    """Accounting of one plan -> execute run (one class or many).
 
     ``backend`` names the worker backend that ran the shard:
     ``"process"`` for the in-process pool (and the ``jobs <= 1``
-    in-parent path), ``"remote"`` for distributed workers.
+    in-parent run), ``"remote"`` for distributed workers.  ``classes``
+    is the per-class breakdown and ``schedule_order`` the
+    longest-class-first dispatch order used.
+    Every planned sequent is counted exactly once: ``dispatched +
+    hits_memory + hits_disk + duplicates_folded == sequents_total``.
     """
 
     jobs: int
@@ -104,12 +129,14 @@ class ParallelRunStats:
     duplicates_folded: int = 0
     wall_time: float = 0.0
     workers: list[WorkerLoad] = field(default_factory=list)
+    classes: list[ClassScheduleStats] = field(default_factory=list)
+    schedule_order: list[str] = field(default_factory=list)
 
     @property
     def prover_time(self) -> float:
         return sum(load.prover_time for load in self.workers)
 
-    def fold_worker(self, pid: int, tasks: int, prover_time: float) -> None:
+    def fold_worker(self, pid: int | str, tasks: int, prover_time: float) -> None:
         """Accumulate one worker's load (matching by pid)."""
         for load in self.workers:
             if load.pid == pid:
@@ -118,8 +145,13 @@ class ParallelRunStats:
                 return
         self.workers.append(WorkerLoad(pid, tasks, prover_time))
 
-    def merge(self, other: "ParallelRunStats") -> None:
-        """Fold another run's numbers in (used across classes of a suite)."""
+    def merge(self, other: "RunStats") -> None:
+        """Fold another run's numbers in (the engine's running total).
+
+        Class rows fold by class name, like worker loads by pid, so a
+        total stays one row per class however many runs it covers; its
+        ``schedule_order`` lists the classes in first-seen order.
+        """
         if other.backend != "process":
             self.backend = other.backend
         self.sequents_total += other.sequents_total
@@ -130,6 +162,20 @@ class ParallelRunStats:
         self.wall_time += other.wall_time
         for load in other.workers:
             self.fold_worker(load.pid, load.tasks, load.prover_time)
+        rows = {row.class_name: row for row in self.classes}
+        for entry in other.classes:
+            row = rows.get(entry.class_name)
+            if row is None:
+                row = rows[entry.class_name] = ClassScheduleStats(entry.class_name, 0.0)
+                self.classes.append(row)
+                self.schedule_order.append(entry.class_name)
+            row.cost_hint = entry.cost_hint
+            row.hint_source = entry.hint_source
+            row.sequents += entry.sequents
+            row.dispatched += entry.dispatched
+            row.hits_memory += entry.hits_memory
+            row.hits_disk += entry.hits_disk
+            row.duplicates_folded += entry.duplicates_folded
 
 
 @dataclass
@@ -138,8 +184,10 @@ class _Slot:
 
     method_index: int
     sequent: Sequent
-    task: ProofTask
+    task: ProofTask | None
     key: str | None = None
+    #: The raw (tenant-free) task fingerprint, ``None`` without a cache.
+    fingerprint: str | None = None
     result: DispatchResult | None = None
     shard_index: int | None = None
     duplicate_of: int | None = None  # index into the shard list
@@ -177,7 +225,7 @@ class WorkerBackend:
     differential harnesses assert for both.
     """
 
-    #: Human-readable backend name, recorded in ``ParallelRunStats.backend``.
+    #: Human-readable backend name, recorded in ``RunStats.backend``.
     backend_name = "process"
 
     def matches(self, spec: PortfolioSpec, jobs: int) -> bool:
@@ -278,7 +326,7 @@ class ProverPool(WorkerBackend):
 
 
 # ---------------------------------------------------------------------------
-# The dispatch phases (shared by the per-class path and the suite scheduler)
+# The dispatch phases (composed by repro.verifier.scheduler)
 # ---------------------------------------------------------------------------
 
 
@@ -287,20 +335,19 @@ def plan_class(
     target: ClassModel,
     shard: list[_Slot],
     pending_by_key: dict[str, int],
-    stats: ParallelRunStats,
+    stats: RunStats,
 ) -> list[_Slot]:
     """Phase 1 (parent): plan one class's sequents against the cache.
 
-    Generates ``target``'s sequents in the exact order the sequential
-    engine would, answers in-memory / persistent-store hits immediately,
-    folds fingerprint duplicates onto their pending representative, and
-    appends the unique misses to ``shard``.  ``shard`` and
-    ``pending_by_key`` may be shared across several classes (the suite
-    scheduler plans the whole catalogue into one shard, so a sequent
-    repeated across classes is still proved only once, exactly as a
-    sequential engine's warm cache would).
+    Generates ``target``'s sequents in method/sequent order, answers
+    in-memory / persistent-store hits immediately, folds fingerprint
+    duplicates onto their pending representative, and appends the unique
+    misses to ``shard``.  ``shard`` and ``pending_by_key`` may be shared
+    across several classes (the suite scheduler plans several classes
+    into one shard, so a sequent repeated across classes is still proved
+    only once, exactly as a warm cache would answer it).
 
-    Returns the class's slots in sequential order; ``stats`` accumulates
+    Returns the class's slots in method/sequent order; ``stats`` accumulates
     hit/duplicate counts (``stats.dispatched`` is left to the caller, which
     knows when the shard is complete).
     """
@@ -322,7 +369,7 @@ def plan_method(
     method_index: int,
     shard: list[_Slot],
     pending_by_key: dict[str, int],
-    stats: ParallelRunStats,
+    stats: RunStats,
 ) -> list[_Slot]:
     """The per-method slice of :func:`plan_class`.
 
@@ -333,11 +380,15 @@ def plan_method(
     caller, which knows the full planned extent of the run.
     """
     portfolio = engine.portfolio
+    fingerprinted = portfolio.proof_cache is not None
     slots: list[_Slot] = []
     for sequent in engine.method_sequents(target, method):
-        slot = _Slot(method_index, sequent, engine.task_for(sequent))
+        task = engine.task_for(sequent)
+        slot = _Slot(method_index, sequent, task)
+        if fingerprinted:
+            slot.fingerprint = task_fingerprint(task)
         slots.append(slot)
-        key, hit = portfolio.consult_cache(slot.task)
+        key, hit = portfolio.consult_cache(task, slot.fingerprint)
         slot.key = key
         if hit is not None:
             slot.result = hit
@@ -347,8 +398,8 @@ def plan_method(
                 stats.hits_memory += 1
             continue
         if key is not None and key in pending_by_key:
-            # A duplicate of a sequent already queued this run: the
-            # sequential path would find its verdict in the warm cache.
+            # A duplicate of a sequent already queued this run: a
+            # one-at-a-time dispatch loop would find it in the warm cache.
             slot.duplicate_of = pending_by_key[key]
             portfolio.statistics.cache_misses -= 1  # counted by consult_cache
             portfolio.statistics.cache_hits += 1
@@ -365,7 +416,7 @@ def run_shard(
     engine,
     shard: list[_Slot],
     jobs: int,
-    stats: ParallelRunStats,
+    stats: RunStats,
     order: list[int] | None = None,
     on_result=None,
 ) -> list[DispatchResult]:
@@ -376,10 +427,8 @@ def run_shard(
     returned list is always indexed by shard position, so the merge stays
     deterministic regardless of dispatch order.  With ``jobs <= 1`` (and
     no remote workers configured on the engine) the provers run
-    in-process on the parent's portfolio (no pool), which is what makes a
-    suite-scheduled ``--jobs 1`` run behave exactly like the sequential
-    engine modulo scheduling bookkeeping.  An engine with remote workers
-    always dispatches through its :class:`WorkerBackend`.
+    in-process on the parent's portfolio, with no pool.  An engine with
+    remote workers always dispatches through its :class:`WorkerBackend`.
 
     ``on_result(slot, result)`` is called in the parent as each verdict
     arrives (completion order, not merge order); the suite scheduler uses
@@ -428,22 +477,17 @@ def resolve_shard(
     portfolio: ProverPortfolio,
     shard: list[_Slot],
     results: list[DispatchResult],
-    store: bool = True,
 ) -> None:
     """Phase 3a: replay worker verdicts into the parent, in shard order.
 
-    Statistics and cache contents end up bit-identical to a sequential
-    dispatch loop over the same tasks.  Pass ``store=False`` when every
-    verdict was already stored as it arrived (the suite scheduler's
-    checkpoint callback), so each verdict is stored exactly once either
-    way.
+    Statistics end up bit-identical to a one-at-a-time dispatch loop over
+    the same tasks.  The verdicts themselves were already stored in the
+    cache as they arrived (the scheduler's checkpoint callback).
     """
     for slot in shard:
         result = results[slot.shard_index]
         slot.result = result
         portfolio.record_outcome(result)
-        if store:
-            portfolio.store_verdict(slot.key, result)
 
 
 def resolve_duplicates(
@@ -470,10 +514,10 @@ def resolve_duplicates(
 def build_class_report(target: ClassModel, slots: list[_Slot]):
     """Assemble the :class:`~repro.verifier.engine.ClassReport` for ``target``.
 
-    Outcomes appear in sequential method/sequent order.  The sequential
-    path measures per-method wall time; in a parallel run the methods
-    overlap, so the closest faithful number is the prover time actually
-    spent on the method's sequents.
+    Outcomes appear in method/sequent order.  A method's ``elapsed`` is
+    the prover time spent on its own sequents (at any ``jobs``: with a
+    pool the methods overlap in wall time, so this is the one number that
+    means the same thing everywhere).
     """
     # Imported here: engine.py imports this module lazily and vice versa.
     from .engine import ClassReport, MethodReport, SequentOutcome
@@ -489,20 +533,3 @@ def build_class_report(target: ClassModel, slots: list[_Slot]):
         )
         report.methods.append(method_report)
     return report
-
-
-def verify_class_parallel(engine, target: ClassModel, jobs: int):
-    """Verify every method of ``target`` with ``jobs`` worker processes.
-
-    Returns ``(ClassReport, ParallelRunStats)``.  Verdicts, prover
-    attribution and portfolio statistics are identical to the sequential
-    :meth:`~repro.verifier.engine.VerificationEngine.verify_class` path
-    (modulo timing jitter on near-timeout sequents, which both paths share).
-
-    Since the plan/execute split this is a thin composition of the
-    engine's :meth:`~repro.verifier.engine.VerificationEngine.plan_class_run`
-    and :meth:`~repro.verifier.engine.VerificationEngine.execute_class_plan`
-    -- kept as the stable entry point the engine and older callers use.
-    """
-    plan = engine.plan_class_run(target)
-    return engine.execute_class_plan(plan, jobs=jobs)

@@ -29,7 +29,6 @@ __all__ = [
     "format_table2",
     "format_table",
     "format_performance",
-    "format_parallel",
     "format_suite",
     "format_verify",
     "format_verify_file",
@@ -251,11 +250,16 @@ def format_performance(
     return "\n".join(lines)
 
 
-def _dispatch_counter_lines(stats) -> list[str]:
-    """The run-counter lines shared by :func:`format_parallel` and
-    :func:`format_suite` (``stats`` is a ``ParallelRunStats`` or
-    subclass)."""
-    return [
+def format_suite(stats) -> str:
+    """Render a :class:`~repro.verifier.parallel.RunStats`: the pooled
+    counters, the longest-class-first dispatch order, the per-class
+    breakdown and the per-worker loads.  A worker's identity is an OS pid
+    for the in-process pool and a ``host/pid`` label for remote workers,
+    so distributed runs carry per-worker provenance in the same report."""
+    backend = "" if stats.backend == "process" else f", {stats.backend} workers"
+    lines = [
+        f"Suite schedule ({stats.jobs} jobs{backend})",
+        f"  dispatch order      {', '.join(stats.schedule_order)}",
         f"  sequents total      {stats.sequents_total}",
         f"  shipped to workers  {stats.dispatched}",
         f"  answered from cache {stats.hits_memory + stats.hits_disk} "
@@ -264,47 +268,6 @@ def _dispatch_counter_lines(stats) -> list[str]:
         f"  pool wall time      {stats.wall_time:.1f}s "
         f"(prover time {stats.prover_time:.1f}s)",
     ]
-
-
-def _worker_load_lines(stats) -> list[str]:
-    """One line per worker; the identity is an OS pid for the in-process
-    pool and a ``host/pid`` label for remote workers, so distributed runs
-    carry per-worker provenance in the same report."""
-    return [
-        f"  worker {str(load.pid):<12} {load.tasks} sequents, "
-        f"{load.prover_time:.1f}s"
-        for load in stats.workers
-    ]
-
-
-def _backend_suffix(stats) -> str:
-    backend = getattr(stats, "backend", "process")
-    return "" if backend == "process" else f", {backend} workers"
-
-
-def format_parallel(stats) -> str:
-    """Render the scheduling statistics of a parallel verification run.
-
-    ``stats`` is a :class:`~repro.verifier.parallel.ParallelRunStats`.
-    """
-    lines = [f"Parallel dispatch ({stats.jobs} jobs{_backend_suffix(stats)})"]
-    lines += _dispatch_counter_lines(stats)
-    lines += _worker_load_lines(stats)
-    return "\n".join(lines)
-
-
-def format_suite(stats) -> str:
-    """Render the scheduling statistics of a suite-level run.
-
-    ``stats`` is a :class:`~repro.verifier.scheduler.SuiteRunStats`: the
-    pooled counters of :func:`format_parallel` plus the per-class
-    breakdown and the longest-class-first dispatch order.
-    """
-    lines = [
-        f"Suite schedule ({stats.jobs} jobs{_backend_suffix(stats)})",
-        f"  dispatch order      {', '.join(stats.schedule_order)}",
-    ]
-    lines += _dispatch_counter_lines(stats)
     header = [
         "class", "cost hint", "hint src", "sequents", "dispatched", "cache", "dup"
     ]
@@ -312,7 +275,7 @@ def format_suite(stats) -> str:
         [
             cls.class_name,
             f"{cls.cost_hint:.3g}",
-            getattr(cls, "hint_source", "static"),
+            cls.hint_source,
             str(cls.sequents),
             str(cls.dispatched),
             str(cls.hits_memory + cls.hits_disk),
@@ -321,7 +284,10 @@ def format_suite(stats) -> str:
         for cls in stats.classes
     ]
     lines.extend("  " + line for line in format_table(header, rows).splitlines())
-    lines += _worker_load_lines(stats)
+    lines += [
+        f"  worker {str(load.pid):<12} {load.tasks} sequents, {load.prover_time:.1f}s"
+        for load in stats.workers
+    ]
     return "\n".join(lines)
 
 
@@ -332,7 +298,7 @@ def format_metrics(payload: dict) -> str:
     payload is the JSON object
     :meth:`~repro.verifier.daemon.VerifierDaemon._op_metrics` builds, so
     the sections mirror its fields (cache provenance, measured class
-    costs, the last suite plan, per-worker latency).
+    costs, the last run's plan, per-worker latency).
     """
     lines = [f"Daemon metrics (protocol {payload.get('protocol', '?')})"]
     counters = payload.get("counters") or {}
@@ -372,7 +338,7 @@ def format_metrics(payload: dict) -> str:
     schedule = payload.get("schedule")
     if schedule:
         lines.append(
-            f"Last suite plan ({schedule.get('jobs')} jobs, "
+            f"Last run plan ({schedule.get('jobs')} jobs, "
             f"{schedule.get('backend')} backend)"
         )
         lines.append(f"  dispatch order      {', '.join(schedule.get('order', []))}")

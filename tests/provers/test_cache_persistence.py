@@ -60,35 +60,33 @@ class TestRoundTrip:
             # Provenance is rewritten on load.
             assert loaded[key].origin == "disk"
 
-    def test_profiles_round_trip_and_merge(self, tmp_path):
-        store = PersistentCacheStore(tmp_path, "k")
-        store.save(
-            {},
-            profiles={"Hash Table": {"wall": 12.5, "cpu": 11.0, "sequents": 58}},
-        )
-        store.save(
-            {},
-            profiles={"Array List": {"wall": 0.5, "cpu": 0.4, "sequents": 26}},
-        )
-        store.load()
-        # Merge-saves union profiles per class, like entries.
-        assert set(store.last_profiles) == {"Hash Table", "Array List"}
-        assert store.last_profiles["Hash Table"]["wall"] == 12.5
-        assert store.last_profiles["Array List"]["sequents"] == 26
-
-    def test_damaged_profiles_are_skipped(self, tmp_path):
+    def test_saved_store_has_no_profiles_section(self, tmp_path):
         store = PersistentCacheStore(tmp_path, "smt:4")
-        store.save(
-            sample_entries(),
-            profiles={"Good": {"wall": 1.0, "cpu": 0.9, "sequents": 3}},
-        )
+        store.save(sample_entries())
         payload = json.loads(store.path.read_text())
-        payload["profiles"]["Bad"] = {"wall": "not a number"}
-        payload["profiles"]["Worse"] = "not even a mapping"
+        assert payload["format"] == CACHE_FORMAT_VERSION == 5
+        assert set(payload) == {
+            "format",
+            "fingerprint_version",
+            "portfolio",
+            "dependencies",
+            "entries",
+        }
+
+    def test_stray_profiles_section_is_dropped_on_save(self, tmp_path):
+        # A current-format store that still carries a ``profiles`` key
+        # (hand-edited, say) loads warm; the next merge-save drops it.
+        store = PersistentCacheStore(tmp_path, "smt:4")
+        store.save(sample_entries())
+        payload = json.loads(store.path.read_text())
+        payload["profiles"] = {"Cell": {"wall": 0.5, "cpu": 0.4, "sequents": 1}}
         store.path.write_text(json.dumps(payload))
-        entries = store.load()
-        assert set(entries) == set(sample_entries())
-        assert set(store.last_profiles) == {"Good"}
+        assert set(store.load()) == set(sample_entries())
+        assert store.last_load_status == f"warm:{len(sample_entries())}"
+        store.save({key("d"): CachedVerdict(True, False, "smt")})
+        payload = json.loads(store.path.read_text())
+        assert "profiles" not in payload
+        assert len(payload["entries"]) == len(sample_entries()) + 1
 
     def test_damaged_dependency_records_are_skipped(self, tmp_path):
         def record(fingerprint):
@@ -114,9 +112,10 @@ class TestRoundTrip:
 
     def test_old_format_store_cold_starts_cleanly(self, tmp_path):
         """Older stores must be discarded as a cold start, never misread
-        or crashed on: format 1 (no timings, no profiles) and format 3
+        or crashed on: format 1 (no timings, no profiles), format 3
         (structural-tuple fingerprints as nested arrays, with profiles and
-        a dependency index)."""
+        a dependency index) and format 4 (digest keys with a per-class
+        ``profiles`` section)."""
         old_fingerprint = [
             [["a", "lt", "bool", [["v", "x", "int"], ["i", 1]]]],
             ["t", True],
@@ -162,6 +161,14 @@ class TestRoundTrip:
                     ]
                 ],
             },
+            "v4": {
+                "format": 4,
+                "fingerprint_version": FINGERPRINT_VERSION,
+                "portfolio": "smt:4",
+                "profiles": {"Cell": {"wall": 0.5, "cpu": 0.4, "sequents": 1}},
+                "dependencies": {},
+                "entries": [[key("a"), True, False, "smt", 0.5, 0.4]],
+            },
         }
         for name, old_payload in old_payloads.items():
             store = PersistentCacheStore(tmp_path / name, "smt:4")
@@ -169,7 +176,6 @@ class TestRoundTrip:
             store.path.write_text(json.dumps(old_payload))
             assert store.load() == {}, name
             assert store.last_load_status == "cold:format-mismatch", name
-            assert store.last_profiles == {}
             assert store.last_dependencies == {}
             # A save over the old store recovers to the current format.
             store.save(sample_entries())
@@ -433,6 +439,6 @@ class TestEngineWiring:
         first.verify_class(linked_list)
         second = self._engine(tmp_path, jobs=2)
         second.verify_class(linked_list)
-        stats = second.last_parallel_stats
+        stats = second.last_run_stats
         assert stats.dispatched == 0
         assert stats.hits_disk == stats.sequents_total

@@ -78,7 +78,7 @@ def test_table1_jobs2_smoke():
             for m in par.methods
             for o in m.outcomes
         ]
-    stats = par_engine.parallel_stats_total
+    stats = par_engine.run_stats_total
     assert stats is not None
     assert stats.dispatched + stats.hits_memory + stats.duplicates_folded == (
         stats.sequents_total
@@ -112,7 +112,7 @@ def test_warm_persistent_cache_speedup(tmp_path):
     stats = warm_engine.portfolio.statistics
     assert stats.cache_hits_disk > 0
     assert stats.per_prover == {}  # every sequent answered from disk
-    assert warm_engine.parallel_stats_total.dispatched == 0
+    assert warm_engine.run_stats_total.dispatched == 0
     for cold_report, warm_report in zip(cold_reports, warm_reports):
         assert [
             (o.sequent.label, o.proved, o.prover)
@@ -146,9 +146,10 @@ def test_table1_suite_scheduled_smoke(tmp_path):
             for m in suite_report.methods
             for o in m.outcomes
         ]
-    stats = suite_engine.last_suite_stats
+    stats = suite_engine.last_run_stats
     assert stats is not None and stats.jobs == 2
-    assert stats.schedule_order[0] == "Circular List"  # costliest fast class
+    # Nothing measured yet: every class ties at the default cost.
+    assert stats.schedule_order == [cls.name for cls in structures]
     assert stats.dispatched + stats.hits_memory + stats.hits_disk + (
         stats.duplicates_folded
     ) == stats.sequents_total
@@ -178,10 +179,24 @@ def test_bench_table1_smoke_mode_json(tmp_path, capsys):
     assert record["wall_seconds"] > 0
     assert record["counters"]["sequents_proved"] >= dispatch["sequents_total"]
     # The adaptive plan rides along: one entry per class, each naming the
-    # cost-model rung that priced it (a cold CI run is all "static").
+    # cost source that priced it (a cold CI run is all "default").
     plan = {entry["name"]: entry for entry in record["schedule_plan"]}
     assert set(plan) == set(bench_table1.SMOKE_STRUCTURES)
     assert all(
-        entry["hint_source"] in ("measured", "profile", "static", "default")
-        for entry in plan.values()
+        entry["hint_source"] in ("measured", "default") for entry in plan.values()
     )
+    # The size of src/ rides along too, one point of its trajectory.
+    assert record["src_lines"] > 0
+
+
+def test_src_lines_counts_non_blank_source_lines():
+    src = _BENCHMARKS.parent / "src"
+    files = list(src.rglob("*.py"))
+    assert files
+    total = sum(
+        len([line for line in path.read_text().splitlines() if line.strip()])
+        for path in files
+    )
+    assert bench_table1.src_lines() == total
+    # Blank lines are excluded: the count is below the raw line count.
+    assert total < sum(len(path.read_text().splitlines()) for path in files)

@@ -9,6 +9,7 @@ benchmark's traced run.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import subprocess
@@ -17,7 +18,10 @@ from pathlib import Path
 
 from repro.logic import builder as b
 from repro.provers.cache import CachedVerdict, PersistentCacheStore, ProofCache
+from repro.provers.dispatch import default_portfolio
 from repro.provers.result import ProofTask
+from repro.suite.generate import generate_class
+from repro.verifier.engine import VerificationEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,3 +84,51 @@ def test_tracer_wraps_and_restores_every_layer(tmp_path):
     assert {"cache.fingerprint", "cache.lookup", "cache.store_load"} <= set(spans)
     assert spans["cache.lookup"][8] == {"hit": 1}
     assert spans["cache.store_save"][8] == {"bytes": store.path.stat().st_size}
+
+
+def _edit(cls, kind: str):
+    """Conjoin the first invariant to the first method's ``kind`` clause
+    (the benchmark's edit-warm edits)."""
+    method = cls.methods[0]
+    contract = method.contract
+    clause = b.And(getattr(contract, kind), cls.invariants[0].formula)
+    method = dataclasses.replace(
+        method, contract=dataclasses.replace(contract, **{kind: clause})
+    )
+    return dataclasses.replace(cls, methods=(method, *cls.methods[1:]))
+
+
+def test_pipeline_hooks_record_their_spans(tmp_path):
+    """Every pipeline boundary the tracer wraps is live on the path it
+    wraps, and its hook can read the call's arguments and result."""
+    tracer = _load_tracer().Tracer(tmp_path)
+    cls = generate_class("arith", 7)
+    engine = VerificationEngine(default_portfolio().scaled(0.4))
+    tracer.install()
+    try:
+        engine.verify_class(cls)
+        for kind in ("ensures", "requires"):
+            _, delta = engine.verify_class_incremental(_edit(cls, kind))
+    finally:
+        tracer.uninstall()
+    spans: dict[str, list[dict]] = {}
+    for span in tracer.spans:
+        spans.setdefault(span[2], []).append(span[8] or {})
+    assert {
+        "engine.verify_class",
+        "scheduler.plan",
+        "scheduler.execute",
+        "parallel.run_shard",
+        "parallel.resolve_duplicates",
+        "incremental.record",
+        "incremental.verify",
+        "costmodel.reprofile",
+    } <= set(spans)
+    assert len(spans["scheduler.plan"]) == len(spans["scheduler.execute"]) == 3
+    for args in spans["parallel.run_shard"]:
+        assert args["jobs"] == 1 and args["busy"] >= 0.0
+    assert all("folded" in args for args in spans["parallel.resolve_duplicates"])
+    ensures, requires = spans["incremental.verify"]
+    assert set(ensures) == set(requires) == {"dirty", "dispatched"}
+    assert requires == {"dirty": delta.sequents_dirty, "dispatched": delta.dispatched}
+    assert requires["dirty"] > 0

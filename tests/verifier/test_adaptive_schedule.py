@@ -1,10 +1,9 @@
-"""Adaptive scheduling: warm runs plan from measured cost profiles.
+"""Adaptive scheduling: warm runs plan from measured costs.
 
-The tentpole acceptance tests of PR 5: a second suite run over a warm
-persistent store plans longest-first from *measured* per-sequent timings
-(the hint source is visible in the plan's statistics), non-catalogue
-classes graduate from ``default`` to ``measured``, and none of it may
-move a verdict -- the cost model only reorders dispatch, which the
+A second suite run over a warm persistent store plans longest-first from
+*measured* per-sequent timings (the hint source is visible in the plan's
+statistics), a cold run prices every class at ``default``, and none of it
+may move a verdict -- the cost model only reorders dispatch, which the
 differential harness (:mod:`test_scheduler_differential`) already pins
 down for cold stores; here the warm-store variant is asserted too.
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.provers.dispatch import default_portfolio
-from repro.verifier.costmodel import HINT_DEFAULT, HINT_MEASURED, HINT_STATIC
+from repro.verifier.costmodel import HINT_DEFAULT, HINT_MEASURED
 from repro.verifier.engine import VerificationEngine
 from repro.verifier.report import format_suite
 from repro.verifier.scheduler import plan_dispatch_order
@@ -41,11 +40,15 @@ def engine_with_store(tmp_path, jobs: int = 2) -> VerificationEngine:
     )
 
 
-def test_cold_run_plans_from_static_hints(tmp_path):
+def test_cold_run_plans_at_the_default_cost(tmp_path):
+    """Nothing measured yet: every class prices at the default cost, so
+    the cold plan keeps input (catalogue) order."""
     engine = engine_with_store(tmp_path)
-    engine.verify_suite(structures(CLASSES))
-    stats = engine.last_suite_stats
-    assert {cls.hint_source for cls in stats.classes} == {HINT_STATIC}
+    classes = structures(CLASSES)
+    engine.verify_suite(classes)
+    stats = engine.last_run_stats
+    assert {cls.hint_source for cls in stats.classes} == {HINT_DEFAULT}
+    assert stats.schedule_order == [cls.name for cls in classes]
     engine.close()
 
 
@@ -57,7 +60,7 @@ def test_warm_second_run_plans_from_measured_profiles(tmp_path):
 
     second = engine_with_store(tmp_path)
     reports = second.verify_suite(classes)
-    stats = second.last_suite_stats
+    stats = second.last_run_stats
     # The acceptance assertion: every class's plan entry derives from
     # measured per-sequent profiles, and says so.
     assert {cls.hint_source for cls in stats.classes} == {HINT_MEASURED}
@@ -107,13 +110,13 @@ def test_non_catalogue_class_graduates_from_default_to_measured(tmp_path):
 
     first = engine_with_store(tmp_path)
     first.verify_suite([custom])
-    cold = first.last_suite_stats.classes[0]
+    cold = first.last_run_stats.classes[0]
     assert cold.hint_source == HINT_DEFAULT
     first.close()
 
     second = engine_with_store(tmp_path)
     second.verify_suite([custom])
-    warm = second.last_suite_stats.classes[0]
+    warm = second.last_run_stats.classes[0]
     assert warm.hint_source == HINT_MEASURED
     assert warm.cost_hint > 0
     second.close()
@@ -125,9 +128,9 @@ def test_measured_costs_update_same_engine_second_suite(tmp_path):
     classes = structures(CLASSES[:2])
     engine = engine_with_store(tmp_path)
     engine.verify_suite(classes)
-    assert {c.hint_source for c in engine.last_suite_stats.classes} == {HINT_STATIC}
+    assert {c.hint_source for c in engine.last_run_stats.classes} == {HINT_DEFAULT}
     engine.verify_suite(classes)
-    assert {c.hint_source for c in engine.last_suite_stats.classes} == {HINT_MEASURED}
+    assert {c.hint_source for c in engine.last_run_stats.classes} == {HINT_MEASURED}
     engine.close()
 
 
@@ -141,7 +144,7 @@ def test_dispatch_order_reflects_remaining_work_not_total_cost(tmp_path):
 
     second = engine_with_store(tmp_path)
     second.verify_suite([warm_cls, cold_cls])
-    stats = second.last_suite_stats
+    stats = second.last_run_stats
     by_name = {cls.class_name: cls for cls in stats.classes}
     assert by_name[warm_cls.name].dispatched == 0
     assert by_name[cold_cls.name].dispatched > 0
@@ -164,19 +167,20 @@ def test_reprofile_tracks_edited_classes(tmp_path):
     engine.close()
 
 
-def test_profile_only_changes_still_flush(tmp_path):
-    """Regression: cost-model observations land *after* the run's last
-    verdict checkpoint, so a flush gated only on proof-cache mutations
-    could drop a run's profiles (e.g. when the dispatch count is an exact
-    multiple of the scheduler's checkpoint interval)."""
+def test_profile_only_changes_do_not_flush(tmp_path):
+    """Class profiles live in memory only, so a cost-model change alone
+    must not re-save the store: a fully cached run would otherwise
+    rewrite it after every request."""
     engine = engine_with_store(tmp_path, jobs=1)
-    engine.verify_class(structures(("Array List",))[0])
-    assert engine.flush_persistent_cache() == 0  # nothing new since run
-    engine.cost_model.observe("Phantom Class", None, wall=1.0, cpu=0.9)
-    assert engine.flush_persistent_cache() > 0
-    assert engine.flush_persistent_cache() == 0  # and it re-arms
-    engine.persistent_store.load()
-    assert "Phantom Class" in engine.persistent_store.last_profiles
+    (cls,) = structures(("Array List",))
+    engine.verify_class(cls)
+    assert engine.flush_persistent_cache() == 0  # the run already saved
+    path = engine.persistent_store.path
+    before = path.read_bytes()
+    engine.cost_model.observe("f" * 64, wall=1.0, cpu=0.9)
+    engine.cost_model.reprofile("Phantom Class", ["f" * 64])
+    assert engine.flush_persistent_cache() == 0
+    assert path.read_bytes() == before
     engine.close()
 
 
@@ -205,7 +209,7 @@ def test_measured_sequents_dispatch_longest_first_within_class(tmp_path):
     # measured cost attached.
     second.portfolio.proof_cache.clear()
     second.verify_suite(classes)
-    stats = second.last_suite_stats
+    stats = second.last_run_stats
     assert stats.dispatched > 0
     assert stats.classes[0].hint_source == HINT_MEASURED
     second.close()

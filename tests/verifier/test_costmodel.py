@@ -1,106 +1,97 @@
 """Unit tests for the measured cost model and its data structures.
 
-The fallback chain (measured -> profile -> static -> default), the
-dedup rules that keep class profiles from double-counting sequents, and
-the latency histogram that feeds the daemon's ``metrics`` op.
+The two cost sources (measured -> default), the per-class profiles that
+:meth:`CostModel.reprofile` rebuilds, and the latency histogram that
+feeds the daemon's ``metrics`` op.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.provers.cache import CachedVerdict, PersistentCacheStore
-from repro.suite.catalog import CLASS_COST_HINTS, DEFAULT_COST_HINT
+from repro.provers.cache import CachedVerdict
 from repro.verifier.costmodel import (
+    DEFAULT_COST,
     HINT_DEFAULT,
     HINT_MEASURED,
-    HINT_PROFILE,
-    HINT_STATIC,
     ClassCostProfile,
     CostModel,
 )
 from repro.verifier.stats import LATENCY_BUCKETS, LatencyHistogram
 
-KEY_A = (("i", 1),)
-KEY_B = (("i", 2),)
-KEY_C = (("i", 3),)
+KEY_A = "a" * 64
+KEY_B = "b" * 64
+KEY_C = "c" * 64
 
 
 class TestFallbackChain:
     def test_default_for_totally_unknown_class(self):
         model = CostModel()
-        cost, source = model.class_cost("No Such Structure")
-        assert (cost, source) == (DEFAULT_COST_HINT, HINT_DEFAULT)
-
-    def test_static_for_catalogue_class_without_measurements(self):
-        model = CostModel()
-        cost, source = model.class_cost("Hash Table", keys=[KEY_A, None])
-        assert (cost, source) == (CLASS_COST_HINTS["Hash Table"], HINT_STATIC)
-
-    def test_profile_beats_static(self):
-        model = CostModel()
-        model.ingest_profiles(
-            {"Hash Table": {"wall": 99.0, "cpu": 80.0, "sequents": 10}}
-        )
-        cost, source = model.class_cost("Hash Table")
-        assert (cost, source) == (99.0, HINT_PROFILE)
+        assert model.class_cost([]) == (DEFAULT_COST, HINT_DEFAULT)
 
     def test_measured_sequents_beat_everything(self):
         model = CostModel()
-        model.ingest_profiles(
-            {"Hash Table": {"wall": 99.0, "cpu": 80.0, "sequents": 10}}
-        )
-        model.observe("Hash Table", KEY_A, wall=2.0, cpu=1.9)
-        cost, source = model.class_cost("Hash Table", keys=[KEY_A])
+        model.observe(KEY_A, wall=2.0, cpu=1.9)
+        cost, source = model.class_cost([KEY_A])
         assert source == HINT_MEASURED
         assert cost == 2.0
 
     def test_unmeasured_stragglers_estimated_at_measured_mean(self):
         model = CostModel()
-        model.observe("X", KEY_A, wall=1.0, cpu=1.0)
-        model.observe("X", KEY_B, wall=3.0, cpu=3.0)
+        model.observe(KEY_A, wall=1.0, cpu=1.0)
+        model.observe(KEY_B, wall=3.0, cpu=3.0)
         # Two measured (sum 4, mean 2) plus two unknown -> 4 + 2*2.
-        cost, source = model.class_cost("X", keys=[KEY_A, KEY_B, KEY_C, None])
+        cost, source = model.class_cost([KEY_A, KEY_B, KEY_C, None])
         assert source == HINT_MEASURED
         assert cost == 8.0
 
     def test_keys_without_any_coverage_fall_through(self):
         model = CostModel()
-        model.observe("X", KEY_A, wall=1.0, cpu=1.0)
-        cost, source = model.class_cost("Y", keys=[KEY_B, KEY_C])
-        assert source == HINT_DEFAULT
+        model.observe(KEY_A, wall=1.0, cpu=1.0)
+        assert model.class_cost([KEY_B, KEY_C]) == (DEFAULT_COST, HINT_DEFAULT)
+
+    def test_ingested_store_timings_make_a_class_measured(self):
+        # A warm store prices a class before anything runs in this process.
+        model = CostModel()
+        model.ingest_entries(
+            {
+                KEY_A: CachedVerdict(True, False, "smt", wall=0.5, cpu=0.4),
+                KEY_B: CachedVerdict(True, False, "smt", wall=1.5, cpu=1.4),
+            }
+        )
+        assert model.class_cost([KEY_A, KEY_B]) == (2.0, HINT_MEASURED)
 
 
 class TestObservation:
     def test_observe_accumulates_distinct_sequents(self):
         model = CostModel()
-        model.observe("X", KEY_A, wall=1.0, cpu=0.9)
-        model.observe("X", KEY_B, wall=2.0, cpu=1.8)
+        model.observe(KEY_A, wall=1.0, cpu=0.9)
+        model.observe(KEY_B, wall=2.0, cpu=1.8)
+        assert model.sequent_wall == {KEY_A: 1.0, KEY_B: 2.0}
+        assert model.class_cost([KEY_A, KEY_B]) == (3.0, HINT_MEASURED)
+        model.reprofile("X", [KEY_A, KEY_B])
         profile = model.profiles["X"]
-        assert profile.sequents == 2
-        assert profile.wall == 3.0
-        assert profile.cpu == 2.7
+        assert (profile.wall, profile.cpu, profile.sequents) == (3.0, 2.7, 2)
 
-    def test_reobserving_a_key_refreshes_timing_not_profile(self):
+    def test_reobserving_a_key_refreshes_timing(self):
         model = CostModel()
-        model.observe("X", KEY_A, wall=1.0, cpu=1.0)
-        model.observe("X", KEY_A, wall=5.0, cpu=5.0)
+        model.observe(KEY_A, wall=1.0, cpu=1.0)
+        model.observe(KEY_A, wall=5.0, cpu=5.0)
         assert model.sequent_cost(KEY_A) == 5.0
-        assert model.profiles["X"].sequents == 1
-        assert model.profiles["X"].wall == 1.0
 
     def test_disk_keys_never_double_count_into_profiles(self):
-        # The persisted profile already contains the disk keys' cost; a
-        # re-dispatch of one of them (e.g. after eviction from the
-        # verdict cache) must not inflate the profile.
+        # A re-dispatch of a key the store already timed (e.g. after
+        # eviction from the verdict cache) refreshes its timing; the
+        # class profile still counts the sequent once.
         model = CostModel()
         model.ingest_entries(
             {KEY_A: CachedVerdict(True, False, "smt", wall=1.5, cpu=1.4)}
         )
-        model.ingest_profiles({"X": {"wall": 1.5, "cpu": 1.4, "sequents": 1}})
-        model.observe("X", KEY_A, wall=1.7, cpu=1.6)
-        assert model.profiles["X"].sequents == 1
+        model.observe(KEY_A, wall=1.7, cpu=1.6)
+        model.reprofile("X", [KEY_A])
         assert model.sequent_cost(KEY_A) == 1.7
+        profile = model.profiles["X"]
+        assert (profile.wall, profile.cpu, profile.sequents) == (1.7, 1.6, 1)
 
     def test_unmeasured_entries_are_skipped_on_ingest(self):
         model = CostModel()
@@ -113,66 +104,56 @@ class TestObservation:
         assert model.sequent_cost(KEY_A) is None
         assert model.sequent_cost(KEY_B) == 0.25
 
-    def test_keyless_observation_still_feeds_the_profile(self):
+    def test_zero_wall_and_keyless_observations_are_ignored(self):
         model = CostModel()
-        model.observe("X", None, wall=1.0, cpu=1.0)
-        model.observe("X", None, wall=1.0, cpu=1.0)
-        assert model.profiles["X"].sequents == 2
-        assert model.class_cost("X")[1] == HINT_PROFILE
-
-    def test_zero_wall_observations_are_ignored(self):
-        model = CostModel()
-        model.observe("X", KEY_A, wall=0.0, cpu=0.0)
-        assert "X" not in model.profiles
+        model.observe(KEY_A, wall=0.0, cpu=0.0)
+        model.observe(None, wall=1.0, cpu=1.0)
+        assert model.sequent_wall == {}
         assert model.sequent_cost(KEY_A) is None
 
     def test_reprofile_replaces_stale_accumulation(self):
-        # A class whose sequents changed: the old profile counted keys
-        # that no longer exist; reprofile rebuilds from the current set.
+        # A class whose sequents changed: the profile follows the current
+        # fingerprint set, not every key the class ever had.
         model = CostModel()
-        model.ingest_profiles({"X": {"wall": 50.0, "cpu": 45.0, "sequents": 9}})
-        model.observe("X", KEY_A, wall=1.0, cpu=0.9)
-        model.observe("X", KEY_B, wall=2.0, cpu=1.8)
+        model.observe(KEY_A, wall=1.0, cpu=0.9)
+        model.observe(KEY_B, wall=2.0, cpu=1.8)
+        model.observe(KEY_C, wall=50.0, cpu=45.0)
+        model.reprofile("X", [KEY_A, KEY_B, KEY_C])
         model.reprofile("X", [KEY_A, KEY_B])
         profile = model.profiles["X"]
         assert (profile.wall, profile.cpu, profile.sequents) == (3.0, 2.7, 2)
-        # Idempotent: re-running over the same ground truth is a no-op.
-        before = model.mutations
+
+    def test_reprofile_is_idempotent(self):
+        # Re-running over the same ground truth leaves profile and timings
+        # as they were.
+        model = CostModel()
+        model.observe(KEY_A, wall=1.0, cpu=0.9)
+        model.observe(KEY_B, wall=2.0, cpu=1.8)
         model.reprofile("X", [KEY_A, KEY_B])
-        assert model.mutations == before
+        before = (dict(model.profiles), dict(model.sequent_wall))
+        model.reprofile("X", [KEY_A, KEY_B])
+        assert (model.profiles, model.sequent_wall) == before
 
     def test_reprofile_without_measured_keys_keeps_existing_profile(self):
         model = CostModel()
-        model.observe("X", None, wall=1.0, cpu=1.0)
-        model.reprofile("X", [KEY_A, None])
+        model.observe(KEY_A, wall=1.0, cpu=1.0)
+        model.reprofile("X", [KEY_A])
+        model.reprofile("X", [KEY_B, None])
         assert model.profiles["X"].wall == 1.0
 
 
 class TestSnapshots:
-    def test_profiles_snapshot_round_trips_through_store(self, tmp_path):
-        model = CostModel()
-        model.observe("X", KEY_A, wall=1.25, cpu=1.0)
-        store = PersistentCacheStore(tmp_path, "k")
-        store.save({}, profiles=model.profiles_snapshot())
-        store.load()
-        other = CostModel()
-        other.ingest_profiles(store.last_profiles)
-        assert other.profiles["X"].wall == 1.25
-        assert other.profiles["X"].sequents == 1
-
     def test_as_dict_is_json_ready(self):
         model = CostModel()
-        model.observe("X", KEY_A, wall=1.0, cpu=0.5)
+        model.observe(KEY_A, wall=1.0, cpu=0.5)
+        model.reprofile("X", [KEY_A])
         payload = json.loads(json.dumps(model.as_dict()))
         assert payload["sequent_timings"] == 1
         assert payload["classes"]["X"]["mean_wall"] == 1.0
 
     def test_mean_wall(self):
-        profile = ClassCostProfile()
-        assert profile.mean_wall == 0.0
-        profile.add(1.0, 0.5)
-        profile.add(3.0, 2.5)
-        assert profile.mean_wall == 2.0
+        assert ClassCostProfile().mean_wall == 0.0
+        assert ClassCostProfile(wall=4.0, cpu=3.0, sequents=2).mean_wall == 2.0
 
 
 class TestLatencyHistogram:

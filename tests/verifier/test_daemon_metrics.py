@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.verifier.cli import main
-from repro.verifier.costmodel import HINT_MEASURED, HINT_STATIC
+from repro.verifier.costmodel import HINT_DEFAULT, HINT_MEASURED
 from repro.verifier.daemon import (
     PROTOCOL_VERSION,
     DaemonClient,
@@ -103,7 +103,7 @@ class TestHandle:
         assert schedule["jobs"] == 1
         by_name = {entry["class"]: entry for entry in schedule["classes"]}
         assert by_name["Array List"]["source"] == HINT_MEASURED
-        assert by_name["Cursor List"]["source"] == HINT_STATIC
+        assert by_name["Cursor List"]["source"] == HINT_DEFAULT
         assert schedule["order"]
 
     def test_metrics_is_not_engine_gated(self, daemon):

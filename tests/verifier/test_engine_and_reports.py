@@ -1,5 +1,7 @@
 """The verification engine, reports and table generation."""
 
+import dataclasses
+
 from repro.suite.common import StructureBuilder
 from repro.verifier import (
     VerificationEngine,
@@ -32,11 +34,17 @@ def build_toy():
     return s.build()
 
 
+def verify_method(engine, cls, name):
+    """Verify the one method ``name`` of ``cls``."""
+    one = dataclasses.replace(cls, methods=(cls.method(name),))
+    return engine.verify_class(one).methods[0]
+
+
 class TestEngine:
     def test_method_report_contents(self):
         toy = build_toy()
         engine = VerificationEngine()
-        report = engine.verify_method(toy, toy.method("bump"))
+        report = verify_method(engine, toy, "bump")
         assert report.verified
         assert report.sequents_total == report.sequents_proved > 0
         assert all(outcome.prover for outcome in report.outcomes)
@@ -44,7 +52,7 @@ class TestEngine:
     def test_incorrect_method_fails(self):
         toy = build_toy()
         engine = VerificationEngine()
-        report = engine.verify_method(toy, toy.method("broken"))
+        report = verify_method(engine, toy, "broken")
         assert not report.verified
         assert report.failed_sequents
 

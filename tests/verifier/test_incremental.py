@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.provers.dispatch import default_portfolio
 from repro.suite.common import StructureBuilder
 from repro.verifier.engine import VerificationEngine
+from repro.verifier.scheduler import execute_suite, plan_suite
 
 TIMEOUT_SCALE = 0.4
 
@@ -23,7 +24,7 @@ BASE_ENSURES = "value = 0"
 EDITED_ENSURES = "value = 0 & 0 in history"
 
 
-def build_counter(reset_ensures: str = BASE_ENSURES):
+def build_counter(reset_ensures: str = BASE_ENSURES, note: bool = False):
     s = StructureBuilder("Counter")
     s.concrete("value", "int")
     s.concrete("limit", "int")
@@ -37,6 +38,8 @@ def build_counter(reset_ensures: str = BASE_ENSURES):
         ensures="value = old value + 1 & old value in history",
     )
     m.assign("value", "value + 1")
+    if note:
+        m.note("Bumped", "value = old value + 1")
     m.ghost_assign("history", "history Un {value}")
     m.done()
     m = s.method(
@@ -74,24 +77,30 @@ def verdicts(report):
 # -- plan / execute split ---------------------------------------------------------
 
 
+def planned_fingerprints(cls) -> set[str]:
+    plan = plan_suite(make_engine(), [cls])
+    return {slot.fingerprint for _, slots in plan.planned for slot in slots}
+
+
 def test_plan_entries_and_execute_match_full_verify():
     engine = make_engine()
-    plan = engine.plan_class_run(build_counter())
-    assert {(entry.class_name, entry.method_name) for entry in plan.entries} == {
-        ("Counter", "increment"),
-        ("Counter", "reset"),
+    plan = plan_suite(engine, [build_counter()])
+    ((cls, slots),) = plan.planned
+    assert {cls.methods[slot.method_index].name for slot in slots} == {
+        "increment",
+        "reset",
     }
     # Cold engine: every unique sequent is planned for dispatch.
-    assert plan.dispatch_count == sum(1 for e in plan.entries if e.dispatch) > 0
-    report, run_stats = engine.execute_class_plan(plan)
-    assert run_stats.dispatched == plan.dispatch_count
+    assert 0 < len(plan.shard) == sum(1 for s in slots if s.shard_index is not None)
+    (report,), run_stats = execute_suite(engine, plan, 1)
+    assert run_stats.dispatched == len(plan.shard)
     baseline = make_engine().verify_class(build_counter())
     assert verdicts(report) == verdicts(baseline)
     # Replanning on the warm engine answers everything from the cache.
-    warm = engine.plan_class_run(build_counter())
-    assert warm.dispatch_count == 0
-    assert {entry.fingerprint for entry in warm.entries} == {
-        entry.fingerprint for entry in plan.entries
+    warm = plan_suite(engine, [build_counter()])
+    assert warm.shard == []
+    assert {slot.fingerprint for slot in warm.planned[0][1]} == {
+        slot.fingerprint for slot in slots
     }
 
 
@@ -100,11 +109,22 @@ def test_strip_proofs_plan_does_not_overwrite_dependency_record():
     engine.verify_class(build_counter())
     record = engine.dependency_index.get("Counter")
     assert record is not None
-    plan = engine.plan_class_run(build_counter(), strip_proofs=True)
-    assert not plan.record_index
-    engine.execute_class_plan(plan)
+    engine.verify_class(build_counter(), strip_proofs=True)
     # The ablation run must not poison the real program's record.
     assert engine.dependency_index.get("Counter") == record
+
+
+def test_strip_proofs_run_keeps_the_cost_profile():
+    """The ablation verifies a different program under the same class
+    name, so it must not replace the class's measured cost either."""
+    cls = build_counter(note=True)
+    engine = make_engine()
+    report = engine.verify_class(cls)
+    assert report.verified
+    profile = engine.cost_model.profiles[cls.name]
+    engine.verify_class(cls, strip_proofs=True)
+    assert engine.last_run_stats.dispatched > 0  # a different program
+    assert engine.cost_model.profiles[cls.name] == profile
 
 
 # -- incremental runs -------------------------------------------------------------
@@ -131,6 +151,22 @@ def test_unchanged_class_resolves_fully_clean():
     assert verdicts(report) == verdicts(full)
 
 
+def test_incremental_run_reports_through_the_one_stats_record():
+    """An incremental run is an ordinary plan/execute run: it becomes the
+    engine's last run and folds into the running total."""
+    engine = make_engine()
+    engine.verify_class(build_counter())
+    first = engine.last_run_stats
+    _, delta = engine.verify_class_incremental(build_counter(EDITED_ENSURES))
+    stats = engine.last_run_stats
+    assert stats is not first
+    assert stats.sequents_total == delta.sequents_total
+    assert stats.dispatched == delta.dispatched == 1
+    total = engine.run_stats_total
+    assert total.sequents_total == first.sequents_total + stats.sequents_total
+    assert total.dispatched == first.dispatched + stats.dispatched
+
+
 def test_one_method_edit_reproves_exactly_the_fingerprint_diff():
     engine = make_engine()
     engine.verify_class(build_counter())
@@ -143,12 +179,7 @@ def test_one_method_edit_reproves_exactly_the_fingerprint_diff():
     assert report.verified
 
     # The dirty set is exactly the plan-level fingerprint diff.
-    base_fps = {
-        entry.fingerprint
-        for entry in make_engine().plan_class_run(build_counter()).entries
-    }
-    edited_entries = make_engine().plan_class_run(edited).entries
-    dirty_fps = {e.fingerprint for e in edited_entries} - base_fps
+    dirty_fps = planned_fingerprints(edited) - planned_fingerprints(build_counter())
     assert stats.sequents_dirty == len(dirty_fps) == 1
     assert stats.dispatched == len(dirty_fps)
     assert stats.dirty_labels == ["reset:Post.2"]

@@ -11,6 +11,8 @@ over ``jobs in {1, 2, 4}`` is marked ``slow`` and deselected by default
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.provers.dispatch import default_portfolio
@@ -115,7 +117,7 @@ def test_parallel_run_stats_accounting():
     engine = make_engine(jobs=2, use_cache=True)
     (cls,) = structures(("Linked List",))
     report = engine.verify_class(cls)
-    stats = engine.last_parallel_stats
+    stats = engine.last_run_stats
     assert stats is not None
     assert stats.jobs == 2
     assert stats.sequents_total == report.sequents_total
@@ -130,25 +132,24 @@ def test_parallel_run_stats_accounting():
     # A second run over the same class is answered fully from the warm
     # in-memory cache -- no worker pool is even started.
     engine.verify_class(cls)
-    rerun = engine.last_parallel_stats
+    rerun = engine.last_run_stats
     assert rerun.dispatched == 0
     assert rerun.hits_memory == rerun.sequents_total
     assert rerun.workers == []
 
 
 def test_jobs_one_is_the_sequential_path():
+    """``jobs=1`` runs the same plan/execute pipeline, with the provers
+    in this process: one worker, the parent itself, carries every
+    dispatched sequent."""
     engine = make_engine(jobs=1, use_cache=True)
     (cls,) = structures(("Array List",))
     engine.verify_class(cls)
-    assert engine.last_parallel_stats is None
-
-
-def test_parallel_override_per_call():
-    engine = make_engine(jobs=1, use_cache=True)
-    (cls,) = structures(("Array List",))
-    engine.verify_class(cls, parallel=2)
-    assert engine.last_parallel_stats is not None
-    assert engine.last_parallel_stats.jobs == 2
+    stats = engine.last_run_stats
+    assert stats.jobs == 1 and stats.dispatched > 0
+    [load] = stats.workers
+    assert load.pid == os.getpid()
+    assert load.tasks == stats.dispatched
 
 
 @pytest.mark.slow

@@ -123,10 +123,10 @@ def test_one_worker_class_differential(secret_file):
             assert sequent_trace(seq_report) == sequent_trace(rem_report)
             assert aggregate_trace(seq_report) == aggregate_trace(rem_report)
         assert statistics_trace(sequential) == statistics_trace(remote)
-        stats = remote.last_parallel_stats
+        stats = remote.last_run_stats
         assert stats.backend == "remote"
         # Per-worker provenance: the one worker's label carries host/pid.
-        [load] = remote.parallel_stats_total.workers
+        [load] = remote.run_stats_total.workers
         assert str(load.pid).endswith(f"/{worker.pid}")
         remote.close()
     finally:
@@ -143,7 +143,7 @@ def test_two_workers_suite_differential(worker_pair):
         assert sequent_trace(seq_report) == sequent_trace(suite_report)
         assert aggregate_trace(seq_report) == aggregate_trace(suite_report)
     assert statistics_trace(sequential) == statistics_trace(remote)
-    stats = remote.last_suite_stats
+    stats = remote.last_run_stats
     assert stats.backend == "remote"
     assert (
         stats.dispatched
@@ -201,7 +201,7 @@ def test_worker_kill_mid_run_requeues_and_stays_identical(worker_pair):
         assert sequent_trace(seq_report) == sequent_trace(suite_report)
         assert aggregate_trace(seq_report) == aggregate_trace(suite_report)
     assert statistics_trace(sequential) == statistics_trace(remote)
-    stats = remote.last_suite_stats
+    stats = remote.last_run_stats
     # Every dispatched task is attributed to some worker even though one
     # died; the survivor carried the requeued share.
     assert sum(load.tasks for load in stats.workers) == stats.dispatched
@@ -345,7 +345,7 @@ def test_registry_registration_differential(secret_file, tmp_path):
         report = engine.verify_class(cls)
         assert sequent_trace(seq_report) == sequent_trace(report)
         assert aggregate_trace(seq_report) == aggregate_trace(report)
-        stats = engine.last_parallel_stats
+        stats = engine.last_run_stats
         assert stats.backend == "remote"
         assert sum(load.tasks for load in stats.workers) == stats.dispatched > 0
         assert str(stats.workers[0].pid).endswith(f"/{proc.pid}")
@@ -364,10 +364,10 @@ def test_remote_warm_cache_dispatches_nothing(worker_pair):
     remote = remote_engine([worker.address for worker in worker_pair])
     cls = structures(("Cursor List",))[0]
     remote.verify_class(cls)
-    first = remote.last_parallel_stats
+    first = remote.last_run_stats
     assert first.dispatched > 0
     remote.verify_class(cls)
-    second = remote.last_parallel_stats
+    second = remote.last_run_stats
     assert second.dispatched == 0
     assert second.hits_memory == second.sequents_total
     assert second.workers == []

@@ -1,6 +1,6 @@
 """Edge-case coverage for the report renderers.
 
-``format_parallel`` / ``format_suite`` / ``format_verify`` were only
+``format_suite`` / ``format_verify`` were only
 exercised on happy-path runs; these tests pin down the degenerate shapes a
 serving system actually produces: empty classes, all-cache-hit runs that
 never start a worker, and worker-crash runs whose surviving workers carry
@@ -14,34 +14,33 @@ import pytest
 from repro.suite import structure_by_name
 from repro.verifier.daemon import VerifierDaemon
 from repro.verifier.engine import ClassReport, MethodReport, VerificationEngine
-from repro.verifier.parallel import ParallelRunStats, WorkerLoad
-from repro.verifier.report import format_parallel, format_suite, format_verify
-from repro.verifier.scheduler import ClassScheduleStats, SuiteRunStats
+from repro.verifier.parallel import ClassScheduleStats, RunStats, WorkerLoad
+from repro.verifier.report import format_suite, format_verify
 
 
-class TestFormatParallel:
+class TestRunStats:
     def test_empty_run_renders(self):
-        text = format_parallel(ParallelRunStats(jobs=2))
-        assert "Parallel dispatch (2 jobs" in text
+        text = format_suite(RunStats(jobs=2))
+        assert "Suite schedule (2 jobs" in text
         assert "sequents total      0" in text
         assert "shipped to workers  0" in text
 
     def test_all_cache_hit_run_has_no_workers(self):
-        stats = ParallelRunStats(jobs=4)
+        stats = RunStats(jobs=4)
         stats.sequents_total = 40
         stats.hits_memory = 30
         stats.hits_disk = 10
-        text = format_parallel(stats)
+        text = format_suite(stats)
         assert "answered from cache 40 (memory 30, disk 10)" in text
         assert "worker " not in text  # nothing was dispatched
 
     def test_remote_worker_labels_render(self):
-        stats = ParallelRunStats(jobs=2, backend="remote")
+        stats = RunStats(jobs=2, backend="remote")
         stats.sequents_total = 12
         stats.dispatched = 12
         stats.fold_worker("host-a/101", 8, 1.5)
         stats.fold_worker("host-b/202", 4, 0.5)
-        text = format_parallel(stats)
+        text = format_suite(stats)
         assert "remote" in text
         assert "worker host-a/101" in text
         assert "worker host-b/202" in text
@@ -49,19 +48,19 @@ class TestFormatParallel:
     def test_worker_crash_partial_results(self):
         # A remote run where one worker died mid-run: its partial load is
         # still attributed, the survivor carries the requeued rest.
-        stats = ParallelRunStats(jobs=2, backend="remote")
+        stats = RunStats(jobs=2, backend="remote")
         stats.sequents_total = 10
         stats.dispatched = 10
         stats.fold_worker("dead-host/1", 2, 0.3)
         stats.fold_worker("live-host/2", 8, 2.1)
-        text = format_parallel(stats)
+        text = format_suite(stats)
         assert "worker dead-host/1" in text and "2 sequents" in text
         assert "worker live-host/2" in text and "8 sequents" in text
         # Accounting still closes even though a worker vanished.
         assert sum(load.tasks for load in stats.workers) == stats.dispatched
 
     def test_fold_worker_accumulates_by_identity(self):
-        stats = ParallelRunStats(jobs=2)
+        stats = RunStats(jobs=2)
         stats.fold_worker(1234, 1, 0.1)
         stats.fold_worker(1234, 2, 0.2)
         stats.fold_worker("host/1234", 1, 0.1)  # a label is a new identity
@@ -71,8 +70,8 @@ class TestFormatParallel:
         assert isinstance(stats.workers[0], WorkerLoad)
 
     def test_merge_keeps_remote_backend(self):
-        total = ParallelRunStats(jobs=2)
-        run = ParallelRunStats(jobs=2, backend="remote")
+        total = RunStats(jobs=2)
+        run = RunStats(jobs=2, backend="remote")
         run.sequents_total = 3
         total.merge(run)
         assert total.backend == "remote"
@@ -81,13 +80,13 @@ class TestFormatParallel:
 
 class TestFormatSuite:
     def test_empty_suite_renders(self):
-        stats = SuiteRunStats(jobs=2)
+        stats = RunStats(jobs=2)
         text = format_suite(stats)
         assert "Suite schedule (2 jobs" in text
         assert "dispatch order" in text
 
     def test_empty_class_row_renders(self):
-        stats = SuiteRunStats(jobs=1)
+        stats = RunStats(jobs=1)
         stats.schedule_order = ["Empty Thing"]
         stats.classes.append(
             ClassScheduleStats(class_name="Empty Thing", cost_hint=0.5)
@@ -103,7 +102,7 @@ class TestFormatSuite:
         assert row.split()[-4:] == ["0", "0", "0", "0"]
 
     def test_all_cache_hit_class(self):
-        stats = SuiteRunStats(jobs=2)
+        stats = RunStats(jobs=2)
         stats.sequents_total = 20
         stats.hits_memory = 20
         stats.schedule_order = ["Warm Class"]

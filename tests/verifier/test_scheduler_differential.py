@@ -17,7 +17,6 @@ import pytest
 
 from repro.provers.dispatch import default_portfolio
 from repro.suite import all_structures
-from repro.suite.catalog import CLASS_COST_HINTS, DEFAULT_COST_HINT, cost_hint
 from repro.verifier.engine import VerificationEngine
 from repro.verifier.scheduler import plan_dispatch_order
 
@@ -41,7 +40,7 @@ def assert_suite_differential(classes, jobs: int, use_cache: bool = True) -> Non
         assert sequent_trace(seq_report) == sequent_trace(suite_report)
         assert aggregate_trace(seq_report) == aggregate_trace(suite_report)
     assert statistics_trace(sequential) == statistics_trace(suite)
-    stats = suite.last_suite_stats
+    stats = suite.last_run_stats
     assert stats is not None
     assert stats.jobs == jobs
     # Every sequent is accounted for exactly once.
@@ -71,7 +70,7 @@ def test_fast_classes_suite_differential_cache_off():
     suite_reports = suite.verify_suite(classes)
     for seq_report, suite_report in zip(seq_reports, suite_reports):
         assert sequent_trace(seq_report) == sequent_trace(suite_report)
-    stats = suite.last_suite_stats
+    stats = suite.last_run_stats
     assert stats.duplicates_folded == 0
     assert stats.dispatched == stats.sequents_total
 
@@ -90,40 +89,39 @@ def test_suite_equals_per_class_parallel():
 
 def test_dispatch_order_is_longest_class_first():
     classes = all_structures()
-    order = plan_dispatch_order(classes)
-    hints = [cost_hint(classes[index].name) for index in order]
-    assert hints == sorted(hints, reverse=True)
-    # The catalogue stragglers lead the schedule.
-    names = [classes[index].name for index in order]
-    assert names[0] == "Priority Queue"
-    assert set(names[:3]) == {"Priority Queue", "Hash Table", "Binary Tree"}
-
-
-def test_cost_hints_cover_catalogue():
-    for cls in all_structures():
-        assert cls.name in CLASS_COST_HINTS
-        assert cost_hint(cls.name) == CLASS_COST_HINTS[cls.name]
-    assert cost_hint("No Such Structure") == DEFAULT_COST_HINT
+    costs = [float(index % 3) for index in range(len(classes))]
+    order = plan_dispatch_order(classes, costs)
+    assert [costs[index] for index in order] == sorted(costs, reverse=True)
+    # Ties keep input order.
+    assert order[:3] == [2, 5, 1]
 
 
 def test_suite_report_order_is_input_order():
     classes = structures(FAST_CLASSES)
     engine = make_engine(jobs=2, use_cache=True)
+    engine.verify_suite(classes)
+    # Make the last class by far the costliest measured one, then re-run
+    # with a cold verdict cache so every class has work to order.
+    cache = engine.portfolio.proof_cache
+    for _, record in engine.dependency_index.get(classes[-1].name)["methods"]:
+        for _, fingerprint in record["sequents"]:
+            engine.cost_model.observe(cache.key_for_fingerprint(fingerprint), 99.0, 1)
+    cache.clear()
     reports = engine.verify_suite(classes)
     assert [report.class_name for report in reports] == [cls.name for cls in classes]
     # The schedule order differs from the input order (cost-sorted), yet
     # the reports come back in input order.
-    assert engine.last_suite_stats.schedule_order != [cls.name for cls in classes]
+    assert engine.last_run_stats.schedule_order[0] == classes[-1].name
 
 
 def test_suite_warm_second_run_dispatches_nothing():
     classes = structures(FAST_CLASSES[:2])
     engine = make_engine(jobs=2, use_cache=True)
     engine.verify_suite(classes)
-    first = engine.last_suite_stats
+    first = engine.last_run_stats
     assert first.dispatched > 0
     reports = engine.verify_suite(classes)
-    second = engine.last_suite_stats
+    second = engine.last_run_stats
     assert second.dispatched == 0
     assert second.hits_memory == second.sequents_total
     for report in reports:
@@ -146,7 +144,7 @@ def test_suite_cross_class_dedup_folds_repeats():
     assert_suite_differential([cls, cls], jobs=2)
     engine = make_engine(jobs=2, use_cache=True)
     engine.verify_suite([cls, cls])
-    stats = engine.last_suite_stats
+    stats = engine.last_run_stats
     first_copy, second_copy = stats.classes
     assert second_copy.dispatched == 0
     assert second_copy.duplicates_folded == second_copy.sequents > 0
@@ -170,7 +168,7 @@ def test_suite_second_engine_serves_from_disk(tmp_path):
         cache_dir=tmp_path,
     )
     second.verify_suite(classes)
-    stats = second.last_suite_stats
+    stats = second.last_run_stats
     assert stats.dispatched == 0
     assert stats.hits_disk == stats.sequents_total
 
