@@ -26,22 +26,19 @@ from conftest import TIMEOUT_SCALE, make_engine
 from repro.logic.terms import term_stats
 from repro.provers.dispatch import default_portfolio
 from repro.suite import all_structures
-from repro.provers.result import PortfolioStatistics
 from repro.verifier.engine import VerificationEngine
+from repro.verifier.parallel import RunStats
 from repro.verifier.report import (
     Table1Row,
-    format_performance,
+    format_suite,
     format_table1,
     table1_rows,
 )
-from repro.verifier.stats import (
-    PerformanceCounters,
-    class_statistics,
-    performance_counters,
-)
+from repro.verifier.stats import class_statistics
 
 _ROWS: list[Table1Row] = []
-_PORTFOLIO_TOTALS = PortfolioStatistics()
+#: The run records of every per-structure benchmark engine, folded.
+_RUN_TOTALS = RunStats(jobs=1)
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -68,7 +65,7 @@ def run_suite(
 
     Shared by the ``--jobs N`` comparison benchmark below and the tier-1
     smoke tests (``tests/test_bench_smoke.py``); returns ``(engine,
-    reports)`` so callers can inspect statistics and parallel scheduling.
+    reports)`` so callers can inspect the run record and parallel scheduling.
     With ``suite_schedule`` the classes are verified as one job graph
     (:meth:`VerificationEngine.verify_suite`, longest class first) instead
     of class by class.
@@ -100,15 +97,15 @@ def test_table1_row(structure, benchmark):
         return engine.verify_class(structure)
 
     report = benchmark.pedantic(verify, rounds=1, iterations=1)
-    _PORTFOLIO_TOTALS.merge(engine.portfolio.statistics)
-    counters = performance_counters(engine.portfolio)
-    benchmark.extra_info["proof_cache_hits"] = counters.proof_cache_hits
-    benchmark.extra_info["proof_cache_misses"] = counters.proof_cache_misses
+    _RUN_TOTALS.merge(engine.run_stats_total)
+    counters = engine.run_stats_total.counters()
+    benchmark.extra_info["proof_cache_hits"] = counters["proof_cache_hits"]
+    benchmark.extra_info["proof_cache_misses"] = counters["proof_cache_misses"]
     benchmark.extra_info["terms_allocated"] = (
-        counters.terms_allocated - terms_before.allocated
+        counters["terms_allocated"] - terms_before.allocated
     )
     benchmark.extra_info["terms_interned"] = (
-        counters.terms_interned - terms_before.interned_hits
+        counters["terms_interned"] - terms_before.interned_hits
     )
     stats = class_statistics(structure)
     _ROWS.append(
@@ -161,7 +158,7 @@ def test_table1_parallel_jobs(jobs, benchmark):
         # The sequential benchmarks above proved exactly this many sequents.
         assert (
             sum(report.sequents_proved for report in reports)
-            == _PORTFOLIO_TOTALS.sequents_proved
+            == _RUN_TOTALS.sequents_proved
         )
 
 
@@ -207,7 +204,6 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
     engine, reports = run_suite(jobs=jobs, structures=chosen, suite_schedule=True)
     wall = _time.monotonic() - start
     stats = engine.last_run_stats
-    counters = performance_counters(engine.portfolio)
     return {
         "mode": "smoke",
         "jobs": jobs,
@@ -234,7 +230,7 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
             "hits_disk": stats.hits_disk,
             "duplicates_folded": stats.duplicates_folded,
         },
-        "counters": counters.as_dict(),
+        "counters": engine.run_stats_total.counters(),
         "classes": [
             {
                 "name": report.class_name,
@@ -288,20 +284,7 @@ def test_table1_print():
     print("\n\nTable 1 -- construct counts and verification times\n")
     print(format_table1(rows))
     print()
-    terms = performance_counters()
-    print(
-        format_performance(
-            PerformanceCounters(
-                terms_allocated=terms.terms_allocated,
-                terms_interned=terms.terms_interned,
-                proof_cache_hits=_PORTFOLIO_TOTALS.cache_hits,
-                proof_cache_misses=_PORTFOLIO_TOTALS.cache_misses,
-                proof_cache_hits_disk=_PORTFOLIO_TOTALS.cache_hits_disk,
-                sequents_attempted=_PORTFOLIO_TOTALS.sequents_attempted,
-                sequents_proved=_PORTFOLIO_TOTALS.sequents_proved,
-            )
-        )
-    )
+    print(format_suite(_RUN_TOTALS))
     assert len(rows) == len(all_structures())
 
 

@@ -13,12 +13,12 @@ import pytest
 
 from conftest import make_engine
 from repro.suite import all_structures
-from repro.provers.result import PortfolioStatistics
-from repro.verifier.report import Table2Row, format_performance, format_table2
-from repro.verifier.stats import PerformanceCounters, performance_counters
+from repro.verifier.parallel import RunStats
+from repro.verifier.report import Table2Row, format_suite, format_table2
 
 _ROWS: list[Table2Row] = []
-_PORTFOLIO_TOTALS = PortfolioStatistics()
+#: The run records of every per-structure benchmark engine, folded.
+_RUN_TOTALS = RunStats(jobs=1)
 
 
 @pytest.mark.parametrize(
@@ -34,10 +34,10 @@ def test_table2_row(structure, benchmark):
         return without, with_proofs
 
     without, with_proofs = benchmark.pedantic(verify_both, rounds=1, iterations=1)
-    _PORTFOLIO_TOTALS.merge(engine.portfolio.statistics)
-    counters = performance_counters(engine.portfolio)
-    benchmark.extra_info["proof_cache_hits"] = counters.proof_cache_hits
-    benchmark.extra_info["proof_cache_misses"] = counters.proof_cache_misses
+    _RUN_TOTALS.merge(engine.run_stats_total)
+    counters = engine.run_stats_total.counters()
+    benchmark.extra_info["proof_cache_hits"] = counters["proof_cache_hits"]
+    benchmark.extra_info["proof_cache_misses"] = counters["proof_cache_misses"]
     _ROWS.append(
         Table2Row(
             class_name=structure.name,
@@ -61,17 +61,5 @@ def test_table2_print():
     print("\n\nTable 2 -- effect of proof language constructs\n")
     print(format_table2(_ROWS))
     print()
-    terms = performance_counters()
-    print(
-        format_performance(
-            PerformanceCounters(
-                terms_allocated=terms.terms_allocated,
-                terms_interned=terms.terms_interned,
-                proof_cache_hits=_PORTFOLIO_TOTALS.cache_hits,
-                proof_cache_misses=_PORTFOLIO_TOTALS.cache_misses,
-                sequents_attempted=_PORTFOLIO_TOTALS.sequents_attempted,
-                sequents_proved=_PORTFOLIO_TOTALS.sequents_proved,
-            )
-        )
-    )
+    print(format_suite(_RUN_TOTALS))
     assert len(_ROWS) <= len(all_structures())

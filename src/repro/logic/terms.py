@@ -35,6 +35,7 @@ benchmark harness can track sharing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .sorts import (
@@ -196,6 +197,27 @@ def clear_term_pools() -> None:
     _CONST_POOL[("null", OBJ)] = NULL
     free_vars.cache_clear()
     function_symbols.cache_clear()
+
+
+@contextmanager
+def transient_terms():
+    """Drop the pool entries of the terms first built inside the block.
+
+    For passes that build many terms nobody needs afterwards, such as a
+    saturation prover's clauses: the pools would otherwise keep them until
+    they reach their limit.  Pools are insertion-ordered, so the entries
+    added inside the block are the newest ones.  Dropping them is as safe
+    as :func:`clear_term_pools`: terms still referenced stay valid and
+    compare structurally.
+    """
+    pools = (_VAR_POOL, _CONST_POOL, _INT_POOL, _BOOL_POOL, _APP_POOL, _BINDER_POOL)
+    marks = [len(pool) for pool in pools]
+    try:
+        yield
+    finally:
+        for pool, mark in zip(pools, marks):
+            for _ in range(len(pool) - mark):
+                pool.popitem()
 
 
 class Term:

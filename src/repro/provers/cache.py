@@ -202,9 +202,9 @@ class CachedVerdict:
 class ProofCache:
     """Maps canonical sequent fingerprints to dispatcher verdicts.
 
-    Hit/miss accounting lives in
-    :class:`~repro.provers.result.PortfolioStatistics` (maintained by the
-    dispatcher), not here, so there is exactly one set of counters.
+    Hit/miss accounting lives in the pipeline's run record
+    (:class:`~repro.verifier.parallel.RunStats`), not here, so there is
+    exactly one set of counters.
 
     ``namespace`` isolates tenants of a shared cache: while it is set to a
     non-empty string, every key produced by :meth:`key` is the digest of

@@ -17,11 +17,12 @@ proof obligation carries a ``from`` clause (a set of named assumptions), only
 those assumptions are passed to the provers.
 
 Dispatch is split into three phases (cache consult / prover run /
-accounting+store) so the schedulers can distribute them: the per-class
-sharder (:mod:`repro.verifier.parallel`) and the suite-level scheduler
-(:mod:`repro.verifier.scheduler`) run phase 1 and 3 in the parent and
-phase 2 in worker processes rebuilt from :class:`PortfolioSpec`.  The
-end-to-end picture lives in ``docs/architecture.md``.
+store) so the pipeline (:mod:`repro.verifier.scheduler`) can distribute
+them: it runs phases 1 and 3 in the parent and phase 2 in worker
+processes rebuilt from :class:`PortfolioSpec`.  The portfolio counts
+nothing; the pipeline counts each planned sequent once in its run record
+(:class:`~repro.verifier.parallel.RunStats`).  The end-to-end picture
+lives in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .cache import CachedVerdict, ProofCache
 from .fol import FolProver
 from .interface import Prover
 from .model_finder import FiniteModelFinder
-from .result import (
-    Outcome,
-    PortfolioStatistics,
-    ProofTask,
-    ProverResult,
-)
+from .result import Outcome, ProofTask, ProverResult
 from .setsolver import SetCardinalityProver
 from .smt import SmtProver
 
@@ -119,7 +115,6 @@ class ProverPortfolio:
         proof_cache: ProofCache | None = None,
     ) -> None:
         self.entries = entries
-        self.statistics = PortfolioStatistics()
         self.proof_cache = proof_cache
 
     # -- configuration ---------------------------------------------------------
@@ -175,20 +170,19 @@ class ProverPortfolio:
         start = time.monotonic()
         result = self.run_provers(task)
         result.wall = time.monotonic() - start
-        self.record_outcome(result)
         self.store_verdict(key, result)
         return result
 
-    # The three dispatch phases are exposed separately so the parallel
-    # scheduler (:mod:`repro.verifier.parallel`) can run the cache phase in
-    # the parent, the prover phase in worker processes, and the accounting /
-    # store phase back in the parent -- with counters and verdicts identical
-    # to a sequential :meth:`dispatch` loop over the same task order.
+    # The three dispatch phases are exposed separately so the pipeline
+    # (:mod:`repro.verifier.scheduler`) can run the cache phase in the
+    # parent, the prover phase in worker processes, and the store phase
+    # back in the parent -- with verdicts identical to a sequential
+    # :meth:`dispatch` loop over the same task order.
 
     def consult_cache(
         self, task: ProofTask, fingerprint: str | None = None
     ) -> tuple[str | None, DispatchResult | None]:
-        """Phase 1: count the attempt and answer from the cache if possible.
+        """Phase 1: answer ``task`` from the cache if possible.
 
         Returns ``(key, hit)`` where ``key`` is the task's cache key (or
         ``None`` without a cache) and ``hit`` a finished cached
@@ -196,7 +190,6 @@ class ProverPortfolio:
         is the task's already computed
         :func:`~repro.provers.cache.task_fingerprint`, if the caller has it.
         """
-        self.statistics.sequents_attempted += 1
         cache = self.proof_cache
         if cache is None:
             return None, None
@@ -206,13 +199,7 @@ class ProverPortfolio:
             key = cache.key_for_fingerprint(fingerprint)
         verdict = cache.lookup(key)
         if verdict is None:
-            self.statistics.cache_misses += 1
             return key, None
-        self.statistics.cache_hits += 1
-        if verdict.origin == "disk":
-            self.statistics.cache_hits_disk += 1
-        if verdict.proved:
-            self.statistics.sequents_proved += 1
         return key, DispatchResult(
             task=task,
             proved=verdict.proved,
@@ -223,7 +210,7 @@ class ProverPortfolio:
         )
 
     def run_provers(self, task: ProofTask) -> DispatchResult:
-        """Phase 2: run the portfolio on a cache miss (no accounting)."""
+        """Phase 2: run the portfolio on a cache miss."""
         result = DispatchResult(task=task, proved=False)
         for entry in self.entries:
             if not entry.enabled:
@@ -240,15 +227,8 @@ class ProverPortfolio:
                 break
         return result
 
-    def record_outcome(self, result: DispatchResult) -> None:
-        """Phase 3a: fold a :meth:`run_provers` result into the statistics."""
-        for prover_result in result.attempts:
-            self.statistics.record(prover_result.prover, prover_result)
-        if result.proved:
-            self.statistics.sequents_proved += 1
-
     def store_verdict(self, key: str | None, result: DispatchResult) -> None:
-        """Phase 3b: remember the verdict (and its measured cost) for
+        """Phase 3: remember the verdict (and its measured cost) for
         future duplicates and for the persistent store's cost profiles."""
         if self.proof_cache is not None and key is not None:
             self.proof_cache.store(

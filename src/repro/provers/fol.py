@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..logic import builder as b
 from ..logic.clauses import Clause, ClauseBudgetExceeded, Literal, cnf_clauses
@@ -41,6 +42,7 @@ from ..logic.terms import (
     free_vars,
     function_symbols,
     subterms,
+    transient_terms,
 )
 from .interface import Prover
 from .result import Budget, Outcome, ProofTask, ProverResult
@@ -330,6 +332,11 @@ class FolProver(Prover):
     # -- main saturation loop ------------------------------------------------------
 
     def attempt(self, task: ProofTask, budget: Budget) -> ProverResult:
+        # The clauses die with the attempt; so do their pool entries.
+        with transient_terms():
+            return self._saturate(task, budget)
+
+    def _saturate(self, task: ProofTask, budget: Budget) -> ProverResult:
         clauses = self._clausify_task(task)
         if clauses == []:
             return ProverResult(Outcome.PROVED, reason="trivial")
@@ -337,7 +344,8 @@ class FolProver(Prover):
             return ProverResult(Outcome.UNKNOWN, reason="clausification failed")
         clauses = clauses + self._equality_axioms(clauses)
         processed: list[Clause] = []
-        unprocessed: list[Clause] = []
+        # Waiting clauses with their selection key, computed once on enqueue.
+        unprocessed: list[tuple[tuple[int, int], Clause]] = []
         seen: set[Clause] = set()
         for clause in clauses:
             reduced = self._evaluate_ground_literals(clause)
@@ -348,7 +356,7 @@ class FolProver(Prover):
             reduced = _canonical_clause(reduced)
             if reduced not in seen:
                 seen.add(reduced)
-                unprocessed.append(reduced)
+                unprocessed.append(((len(reduced), _clause_size(reduced)), reduced))
         iterations = 0
         rename_counter = 0
         while unprocessed:
@@ -359,8 +367,8 @@ class FolProver(Prover):
             if len(seen) > self.limits.max_clauses:
                 return ProverResult(Outcome.UNKNOWN, reason="clause limit")
             # Given-clause selection: smallest clause first (unit preference).
-            unprocessed.sort(key=lambda c: (len(c), _clause_size(c)), reverse=True)
-            given = unprocessed.pop()
+            unprocessed.sort(key=itemgetter(0), reverse=True)
+            _, given = unprocessed.pop()
             if any(_subsumes(other, given) for other in processed):
                 continue
             processed.append(given)
@@ -382,5 +390,5 @@ class FolProver(Prover):
                 if reduced in seen:
                     continue
                 seen.add(reduced)
-                unprocessed.append(reduced)
+                unprocessed.append(((len(reduced), _clause_size(reduced)), reduced))
         return ProverResult(Outcome.UNKNOWN, reason="saturated without proof")

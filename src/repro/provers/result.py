@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..logic.terms import Term
@@ -96,66 +96,3 @@ class Budget:
 
 class BudgetExpired(Exception):
     """Raised internally by provers when their time budget runs out."""
-
-
-@dataclass
-class ProverStatistics:
-    """Aggregated statistics of a dispatcher run (per prover)."""
-
-    attempts: int = 0
-    proved: int = 0
-    time_spent: float = 0.0
-
-    def record(self, result: ProverResult) -> None:
-        self.attempts += 1
-        self.time_spent += result.elapsed
-        if result.is_proved:
-            self.proved += 1
-
-
-@dataclass
-class PortfolioStatistics:
-    """Statistics for an entire portfolio run.
-
-    ``cache_hits`` / ``cache_misses`` count proof-cache consultations by the
-    dispatcher (zero when no cache is attached); a hit answers the sequent
-    without running any prover.  ``cache_hits_disk`` is the subset of hits
-    answered by verdicts loaded from a persistent store (the rest were
-    produced during this process -- "memory" hits).
-    """
-
-    per_prover: dict[str, ProverStatistics] = field(default_factory=dict)
-    sequents_attempted: int = 0
-    sequents_proved: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_hits_disk: int = 0
-
-    @property
-    def cache_hits_memory(self) -> int:
-        return self.cache_hits - self.cache_hits_disk
-
-    @property
-    def cache_lookups(self) -> int:
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_lookups
-        return self.cache_hits / lookups if lookups else 0.0
-
-    def record(self, prover: str, result: ProverResult) -> None:
-        stats = self.per_prover.setdefault(prover, ProverStatistics())
-        stats.record(result)
-
-    def merge(self, other: "PortfolioStatistics") -> None:
-        self.sequents_attempted += other.sequents_attempted
-        self.sequents_proved += other.sequents_proved
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_hits_disk += other.cache_hits_disk
-        for name, stats in other.per_prover.items():
-            mine = self.per_prover.setdefault(name, ProverStatistics())
-            mine.attempts += stats.attempts
-            mine.proved += stats.proved
-            mine.time_spent += stats.time_spent

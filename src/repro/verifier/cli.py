@@ -14,8 +14,8 @@ Subcommands::
                                   stream incremental verdicts, re-proving
                                   only the sequents each edit invalidated
                                   (self-hosts a daemon, or --connect)
-    jahob-py table1               regenerate Table 1 (suite-scheduled when
-                                  --jobs > 1; see --schedule)
+    jahob-py table1               regenerate Table 1 (the whole catalogue
+                                  as one suite-scheduled job graph)
     jahob-py table2               regenerate Table 2 (slow: verifies twice)
     jahob-py serve                run the warm verification daemon on a
                                   unix socket (--socket) or TCP (--tcp),
@@ -59,7 +59,6 @@ import sys
 from ..provers.dispatch import default_portfolio
 from .engine import VerificationEngine
 from .report import (
-    format_performance,
     format_suite,
     format_table1,
     format_table2,
@@ -76,7 +75,6 @@ DEFAULT_SOCKET = ".jahob.sock"
 
 
 def _print_perf(engine: VerificationEngine) -> None:
-    print(format_performance(portfolio=engine.portfolio))
     print(format_suite(engine.run_stats_total))
     if engine.persistent_store is not None:
         print(
@@ -100,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--perf",
         action="store_true",
-        help="print term-interning and proof-cache counters after the run",
+        help="print the run's counters (sequents, proof-cache hits, term "
+        "interning, schedule and worker loads) after the run",
     )
     parser.add_argument(
         "--no-cache",
@@ -126,14 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-persist",
         action="store_true",
         help="with --cache-dir: read the persistent cache but do not write it back",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("suite", "class"),
-        default="suite",
-        help="with --jobs > 1, how table1 shards work: 'suite' plans the whole "
-        "catalogue as one job graph (longest class first), 'class' shards "
-        "each class separately; verdicts are identical either way",
     )
     parser.add_argument(
         "--connect",
@@ -394,7 +385,6 @@ _ENGINE_FLAGS = (
     ("--jobs", "jobs"),
     ("--cache-dir", "cache_dir"),
     ("--no-persist", "no_persist"),
-    ("--schedule", "schedule"),
     ("--perf", "perf"),
     ("--workers", "workers"),
 )
@@ -737,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
         dropped = _non_default_flags(
             parser,
             args,
-            [pair for pair in _ENGINE_FLAGS if pair[0] in ("--perf", "--schedule")],
+            [pair for pair in _ENGINE_FLAGS if pair[0] == "--perf"],
         )
         if dropped:
             print(
@@ -811,13 +801,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "table1":
         classes = all_structures()
-        # Parallel backends (process pool or remote workers) default to
-        # suite scheduling: one job graph, cross-class dedup, one session.
-        if (args.jobs > 1 or engine.uses_remote_workers) and args.schedule == "suite":
-            reports = engine.verify_suite(classes)
-            rows = table1_rows(classes, reports=reports)
-        else:
-            rows = table1_rows(classes, engine)
+        rows = table1_rows(classes, reports=engine.verify_suite(classes))
         print(format_table1(rows))
         if args.perf:
             print()

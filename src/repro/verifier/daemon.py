@@ -37,7 +37,9 @@ Supported ``"op"`` values:
               (:mod:`repro.verifier.scheduler`); full catalogue when
               ``names`` is omitted
 ``table1``    suite-scheduled full catalogue, rendered as Table 1
-``stats``     engine counters (:meth:`PerformanceCounters.as_dict`)
+``stats``     engine counters: the engine's run record, every run
+              since start-up
+              (:meth:`~repro.verifier.parallel.RunStats.counters`)
 ``metrics``   scheduling observability: per-worker answer-latency
               histograms, per-class measured cost profiles, cache-hit
               provenance, watch-mode latency and the last run's
@@ -114,7 +116,7 @@ from .report import (
     format_verify_file,
     table1_rows,
 )
-from .stats import LatencyHistogram, performance_counters
+from .stats import LatencyHistogram
 from .wire import (
     HandshakeError,
     LineChannel,
@@ -830,9 +832,8 @@ class VerifierDaemon:
         return {"output": format_table1(rows), "exit": 0}
 
     def _op_stats(self, request: dict) -> dict:
-        counters = performance_counters(self.engine.portfolio)
         response = {
-            "counters": counters.as_dict(),
+            "counters": self.engine.run_stats_total.counters(),
             "cache_entries": (
                 len(self.engine.portfolio.proof_cache)
                 if self.engine.portfolio.proof_cache is not None
@@ -864,10 +865,9 @@ class VerifierDaemon:
         latency histograms, measured class costs, cache provenance and
         the last run's plan are all readable while the engine proves."""
         engine = self.engine
-        counters = performance_counters(engine.portfolio)
         response = {
             "protocol": PROTOCOL_VERSION,
-            "counters": counters.as_dict(),
+            "counters": engine.run_stats_total.counters(),
             "cost_model": engine.cost_model.as_dict(),
             "workers": engine.worker_metrics(),
             "admission": self.admission.snapshot(),

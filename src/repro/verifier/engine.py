@@ -189,8 +189,8 @@ class VerificationEngine:
         if portfolio is None:
             portfolio = default_portfolio(with_cache=use_proof_cache)
         elif use_proof_cache and portfolio.proof_cache is None:
-            # Wrap instead of mutating: the caller's portfolio object (and
-            # its statistics) stays untouched.
+            # Wrap instead of mutating: the caller's portfolio object stays
+            # untouched.
             portfolio = ProverPortfolio(portfolio.entries, ProofCache())
         elif not use_proof_cache and portfolio.proof_cache is not None:
             portfolio = ProverPortfolio(portfolio.entries, None)
@@ -207,7 +207,7 @@ class VerificationEngine:
         jobs = max(1, int(jobs))
         if self.uses_remote_workers:
             # The effective parallelism of a remote engine is its worker
-            # count; ``jobs`` survives only as the statistics label.
+            # count; ``jobs`` survives only as the run record's label.
             jobs = max(
                 jobs,
                 len(self.remote_workers) + (1 if worker_registry is not None else 0),
@@ -217,7 +217,8 @@ class VerificationEngine:
         self.keep_pool_warm = keep_pool_warm
         self.persistent_store: PersistentCacheStore | None = None
         #: :class:`~repro.verifier.parallel.RunStats` of the most recent
-        #: run (any entry point), and the running total of every run.
+        #: run (any entry point), and the running total of every run: the
+        #: one record of what the engine counted.
         self.last_run_stats: RunStats | None = None
         self.run_stats_total = RunStats(jobs=self.jobs)
         self._pool = None

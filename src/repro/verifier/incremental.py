@@ -34,14 +34,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import time
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel, Method
 from ..logic.terms import Term
 from ..provers.cache import term_fingerprint
 from ..provers.dispatch import DispatchResult
-from .parallel import RunStats, _Slot, plan_method
+from .parallel import ClassScheduleStats, RunStats, _Slot, plan_method
 
 __all__ = [
     "DependencyIndex",
@@ -220,7 +219,7 @@ class ResolvedSequent:
 
 @dataclass
 class IncrementalRunStats:
-    """Accounting of one :func:`verify_class_incremental` run.
+    """What an incremental plan of one class adds to the run record.
 
     ``sequents_dirty`` counts exactly the fingerprint diff (fingerprints
     produced by the edited class that the index had not recorded);
@@ -228,19 +227,37 @@ class IncrementalRunStats:
     ``methods_skipped`` methods were resolved purely from the index,
     without sequent regeneration.  ``cold_start`` marks a run that had no
     usable prior record (first sight of the class, or artifacts changed).
+
+    The counts the run record already holds are read from it: ``run`` is
+    the run's :class:`~repro.verifier.parallel.RunStats` and ``row`` the
+    class's row in it (both attached by the planner).
     """
 
     class_name: str
-    jobs: int = 1
     cold_start: bool = False
     methods_total: int = 0
     methods_skipped: int = 0
-    sequents_total: int = 0
     sequents_clean: int = 0
     sequents_dirty: int = 0
-    dispatched: int = 0
     dirty_labels: list[str] = field(default_factory=list)
-    wall: float = 0.0
+    run: RunStats | None = None
+    row: ClassScheduleStats | None = None
+
+    @property
+    def sequents_total(self) -> int:
+        return self.row.sequents
+
+    @property
+    def dispatched(self) -> int:
+        return self.row.dispatched
+
+    @property
+    def jobs(self) -> int:
+        return self.run.jobs
+
+    @property
+    def wall(self) -> float:
+        return self.run.wall_time
 
     def as_dict(self) -> dict:
         return {
@@ -262,12 +279,10 @@ def _resolve_clean_method(engine, method_index: int, record: dict, stats: RunSta
     """Slots for one unchanged method, resolved purely from cache + index.
 
     Returns ``None`` if any recorded verdict has been evicted (the caller
-    then re-plans the method like a dirty one).  Statistics fold exactly
-    like ``consult_cache`` hits, so counters stay comparable to a full
-    run.
+    then re-plans the method like a dirty one).  Each slot counts as a
+    memory or disk cache hit in ``stats``, as a full run would count it.
     """
-    portfolio = engine.portfolio
-    cache = portfolio.proof_cache
+    cache = engine.portfolio.proof_cache
     found = []
     for label, fingerprint in record["sequents"]:
         key = cache.key_for_fingerprint(fingerprint)
@@ -275,18 +290,12 @@ def _resolve_clean_method(engine, method_index: int, record: dict, stats: RunSta
         if verdict is None:
             return None
         found.append((label, fingerprint, key, verdict))
-    counters = portfolio.statistics
     slots = []
     for label, fingerprint, key, verdict in found:
-        counters.sequents_attempted += 1
-        counters.cache_hits += 1
         if verdict.origin == "disk":
-            counters.cache_hits_disk += 1
             stats.hits_disk += 1
         else:
             stats.hits_memory += 1
-        if verdict.proved:
-            counters.sequents_proved += 1
         result = DispatchResult(
             task=None,
             proved=verdict.proved,
@@ -324,9 +333,7 @@ def plan_from_index(
     proof cache or no usable record.
     """
     cache = engine.portfolio.proof_cache
-    delta = IncrementalRunStats(
-        cls.name, jobs=engine.jobs, methods_total=len(cls.methods)
-    )
+    delta = IncrementalRunStats(cls.name, methods_total=len(cls.methods))
     old = engine.dependency_index.get(cls.name) if cache is not None else None
     shared_clean = old is not None and old["artifacts"] == class_artifacts(engine, cls)
     delta.cold_start = not shared_clean
@@ -336,7 +343,6 @@ def plan_from_index(
         for rec in old_methods.values()
         for _, fingerprint in rec["sequents"]
     }
-    shard_start = len(shard)
     slots: list[_Slot] = []
     for method_index, method in enumerate(cls.methods):
         record = old_methods.get(method.name)
@@ -358,8 +364,6 @@ def plan_from_index(
                 delta.dirty_labels.append(f"{method.name}:{slot.sequent.label}")
         slots.extend(planned)
     stats.sequents_total += len(slots)
-    delta.sequents_total = len(slots)
-    delta.dispatched = len(shard) - shard_start
     return slots, delta
 
 
@@ -373,9 +377,7 @@ def verify_class_incremental(engine, cls: ClassModel):
     """
     from .scheduler import execute_suite, plan_suite
 
-    start = time.monotonic()
     plan = plan_suite(engine, [cls], engine.jobs, incremental=True)
     (report,), _ = execute_suite(engine, plan, engine.jobs)
     (delta,) = plan.deltas
-    delta.wall = time.monotonic() - start
     return report, delta

@@ -28,20 +28,21 @@ class/method/sequent order:
    prover portfolio from a picklable :class:`~repro.provers.dispatch.PortfolioSpec`
    (prover objects never cross process boundaries) and runs the pure
    prover phase with no cache of its own;
-5. the parent replays each verdict into its own statistics and cache
-   (:meth:`record_outcome` / :meth:`store_verdict`), so counters, verdicts,
-   prover attribution and cache contents do not depend on ``jobs``.
+5. the parent stores each verdict in its cache
+   (:meth:`~repro.provers.dispatch.ProverPortfolio.store_verdict`) and
+   merges it by shard index, so verdicts, prover attribution, cache
+   contents and the run record (:class:`RunStats`) do not depend on
+   ``jobs``.
 
 Because the parent owns the cache, there is exactly one writer for the
 persistent store and workers stay read-free; a fully warm run dispatches
 nothing and never even spawns the pool.
 
 The phases are free functions (:func:`plan_class`, :func:`plan_method`,
-:func:`run_shard`, :func:`resolve_shard`, :func:`resolve_duplicates`,
-:func:`build_class_report`) so one plan can span several classes before
-anything is dispatched.  :class:`ProverPool` wraps the executor so the
-daemon (:mod:`repro.verifier.daemon`) can keep workers warm across
-requests.
+:func:`run_shard`, :func:`resolve_duplicates`, :func:`build_class_report`)
+so one plan can span several classes before anything is dispatched.
+:class:`ProverPool` wraps the executor so the daemon
+(:mod:`repro.verifier.daemon`) can keep workers warm across requests.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
+from ..logic.terms import term_stats
 from ..provers.cache import task_fingerprint
 from ..provers.dispatch import DispatchResult, PortfolioSpec, ProverPortfolio
 from ..provers.result import ProofTask
@@ -67,7 +69,6 @@ __all__ = [
     "plan_class",
     "plan_method",
     "run_shard",
-    "resolve_shard",
     "resolve_duplicates",
     "build_class_report",
 ]
@@ -109,13 +110,15 @@ class ClassScheduleStats:
 
 @dataclass
 class RunStats:
-    """Accounting of one plan -> execute run (one class or many).
+    """The run record: accounting of one plan -> execute run (one class
+    or many), and the only counters a verification run keeps.
 
     ``backend`` names the worker backend that ran the shard:
     ``"process"`` for the in-process pool (and the ``jobs <= 1``
     in-parent run), ``"remote"`` for distributed workers.  ``classes``
     is the per-class breakdown and ``schedule_order`` the
-    longest-class-first dispatch order used.
+    longest-class-first dispatch order used.  ``wall_time`` is the run's
+    wall-clock seconds, plan through merge.
     Every planned sequent is counted exactly once: ``dispatched +
     hits_memory + hits_disk + duplicates_folded == sequents_total``.
     """
@@ -123,6 +126,7 @@ class RunStats:
     jobs: int
     backend: str = "process"
     sequents_total: int = 0
+    sequents_proved: int = 0
     dispatched: int = 0
     hits_disk: int = 0
     hits_memory: int = 0
@@ -135,6 +139,34 @@ class RunStats:
     @property
     def prover_time(self) -> float:
         return sum(load.prover_time for load in self.workers)
+
+    def counters(self) -> dict:
+        """The flat, JSON-ready counters of this record, plus the
+        process-wide term-kernel counters
+        (:func:`~repro.logic.terms.term_stats`).
+
+        The daemon's ``stats`` and ``metrics`` ops and ``bench_table1.py
+        --json`` ship exactly this.  A cache hit is a sequent answered
+        without running a prover: from memory, from disk, or folded onto
+        a duplicate dispatched in the same run; a miss is a dispatched
+        sequent, so with the cache off every sequent is a miss.
+        """
+        terms = term_stats()
+        hits = self.hits_memory + self.hits_disk + self.duplicates_folded
+        return {
+            "terms_allocated": terms.allocated,
+            "terms_interned": terms.interned_hits,
+            "intern_hit_rate": terms.hit_rate,
+            "proof_cache_hits": hits,
+            "proof_cache_hits_memory": self.hits_memory + self.duplicates_folded,
+            "proof_cache_hits_disk": self.hits_disk,
+            "proof_cache_misses": self.dispatched,
+            "proof_cache_hit_rate": (
+                hits / self.sequents_total if self.sequents_total else 0.0
+            ),
+            "sequents_attempted": self.sequents_total,
+            "sequents_proved": self.sequents_proved,
+        }
 
     def fold_worker(self, pid: int | str, tasks: int, prover_time: float) -> None:
         """Accumulate one worker's load (matching by pid)."""
@@ -155,6 +187,7 @@ class RunStats:
         if other.backend != "process":
             self.backend = other.backend
         self.sequents_total += other.sequents_total
+        self.sequents_proved += other.sequents_proved
         self.dispatched += other.dispatched
         self.hits_disk += other.hits_disk
         self.hits_memory += other.hits_memory
@@ -401,8 +434,6 @@ def plan_method(
             # A duplicate of a sequent already queued this run: a
             # one-at-a-time dispatch loop would find it in the warm cache.
             slot.duplicate_of = pending_by_key[key]
-            portfolio.statistics.cache_misses -= 1  # counted by consult_cache
-            portfolio.statistics.cache_hits += 1
             stats.duplicates_folded += 1
             continue
         slot.shard_index = len(shard)
@@ -436,7 +467,6 @@ def run_shard(
     long run keeps what it already proved.
     """
     results: list[DispatchResult] = [None] * len(shard)  # type: ignore[list-item]
-    start = time.monotonic()
     if shard:
         indexed = [(slot.shard_index, slot.task) for slot in shard]
         if order is not None:
@@ -469,38 +499,23 @@ def run_shard(
                 raise
             engine.release_pool(pool)
         stats.workers.sort(key=lambda load: str(load.pid))
-    stats.wall_time += time.monotonic() - start
     return results
 
 
-def resolve_shard(
-    portfolio: ProverPortfolio,
-    shard: list[_Slot],
-    results: list[DispatchResult],
-) -> None:
-    """Phase 3a: replay worker verdicts into the parent, in shard order.
-
-    Statistics end up bit-identical to a one-at-a-time dispatch loop over
-    the same tasks.  The verdicts themselves were already stored in the
-    cache as they arrived (the scheduler's checkpoint callback).
-    """
-    for slot in shard:
-        result = results[slot.shard_index]
-        slot.result = result
-        portfolio.record_outcome(result)
-
-
 def resolve_duplicates(
-    portfolio: ProverPortfolio,
+    stats: RunStats,
     slots: list[_Slot],
     results: list[DispatchResult],
 ) -> None:
-    """Phase 3b: answer folded duplicates as warm memory cache hits."""
+    """Phase 3: answer one class's folded duplicates as warm memory cache
+    hits, and count its proved sequents into ``stats``.
+
+    Every slot of the class has its verdict afterwards, so this is where
+    each slot is counted once as proved or not.
+    """
     for slot in slots:
         if slot.duplicate_of is not None:
             rep = results[slot.duplicate_of]
-            if rep.proved:
-                portfolio.statistics.sequents_proved += 1
             slot.result = DispatchResult(
                 task=slot.task,
                 proved=rep.proved,
@@ -509,6 +524,8 @@ def resolve_duplicates(
                 cached=True,
                 cache_origin="memory",
             )
+        if slot.result.proved:
+            stats.sequents_proved += 1
 
 
 def build_class_report(target: ClassModel, slots: list[_Slot]):

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
 from .engine import ClassReport, VerificationEngine
-from .stats import (
-    TABLE1_CONSTRUCT_ORDER,
-    PerformanceCounters,
-    class_statistics,
-    performance_counters,
-)
+from .stats import TABLE1_CONSTRUCT_ORDER, class_statistics
 
 __all__ = [
     "Table1Row",
@@ -28,7 +23,6 @@ __all__ = [
     "format_table1",
     "format_table2",
     "format_table",
-    "format_performance",
     "format_suite",
     "format_verify",
     "format_verify_file",
@@ -224,48 +218,29 @@ def format_table1(rows: list[Table1Row]) -> str:
     return format_table(TABLE1_HEADER, [row.cells() for row in rows])
 
 
-def format_performance(
-    counters: PerformanceCounters | None = None, portfolio=None
-) -> str:
-    """Render the cache / allocation counters of a run as aligned text.
-
-    Pass either precollected :class:`PerformanceCounters` or the portfolio
-    to collect them from.
-    """
-    if counters is None:
-        counters = performance_counters(portfolio)
-    lines = [
-        "Performance counters",
-        f"  terms allocated     {counters.terms_allocated}",
-        f"  terms interned      {counters.terms_interned} "
-        f"(hit rate {counters.intern_hit_rate:.1%})",
-        f"  proof cache hits    {counters.proof_cache_hits} "
-        f"(memory {counters.proof_cache_hits_memory}, "
-        f"disk {counters.proof_cache_hits_disk})",
-        f"  proof cache misses  {counters.proof_cache_misses} "
-        f"(hit rate {counters.proof_cache_hit_rate:.1%})",
-        f"  sequents attempted  {counters.sequents_attempted}",
-        f"  sequents proved     {counters.sequents_proved}",
-    ]
-    return "\n".join(lines)
-
-
 def format_suite(stats) -> str:
-    """Render a :class:`~repro.verifier.parallel.RunStats`: the pooled
-    counters, the longest-class-first dispatch order, the per-class
-    breakdown and the per-worker loads.  A worker's identity is an OS pid
-    for the in-process pool and a ``host/pid`` label for remote workers,
-    so distributed runs carry per-worker provenance in the same report."""
+    """Render a :class:`~repro.verifier.parallel.RunStats`, the run
+    record: its counters (with the process-wide term-kernel counters),
+    the longest-class-first dispatch order, the per-class breakdown and
+    the per-worker loads.  A worker's identity is an OS pid for the
+    in-process pool and a ``host/pid`` label for remote workers, so
+    distributed runs carry per-worker provenance in the same report."""
+    counters = stats.counters()
     backend = "" if stats.backend == "process" else f", {stats.backend} workers"
     lines = [
         f"Suite schedule ({stats.jobs} jobs{backend})",
         f"  dispatch order      {', '.join(stats.schedule_order)}",
         f"  sequents total      {stats.sequents_total}",
+        f"  sequents proved     {stats.sequents_proved}",
         f"  shipped to workers  {stats.dispatched}",
         f"  answered from cache {stats.hits_memory + stats.hits_disk} "
         f"(memory {stats.hits_memory}, disk {stats.hits_disk})",
         f"  duplicates folded   {stats.duplicates_folded}",
-        f"  pool wall time      {stats.wall_time:.1f}s "
+        f"  cache hit rate      {counters['proof_cache_hit_rate']:.1%}",
+        f"  terms allocated     {counters['terms_allocated']}",
+        f"  terms interned      {counters['terms_interned']} "
+        f"(hit rate {counters['intern_hit_rate']:.1%})",
+        f"  run wall time       {stats.wall_time:.1f}s "
         f"(prover time {stats.prover_time:.1f}s)",
     ]
     header = [

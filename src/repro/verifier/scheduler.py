@@ -9,8 +9,8 @@ at any ``jobs``, :meth:`~VerificationEngine.verify_suite` and
    input/method/sequent order.  Cache consults and fingerprint dedup are
    resolved parent-side in that deterministic order
    (:func:`~repro.verifier.parallel.plan_class` with a shard and pending
-   map spanning all classes), so verdicts, prover attribution and cache
-   counters do not depend on ``jobs`` or on the number of classes.  An
+   map spanning all classes), so verdicts, prover attribution and the
+   run record do not depend on ``jobs`` or on the number of classes.  An
    incremental plan first resolves a class's unchanged methods from the
    dependency index (:func:`~repro.verifier.incremental.plan_from_index`);
 2. **execute**: the surviving unique misses of *all* classes are
@@ -22,10 +22,16 @@ at any ``jobs``, :meth:`~VerificationEngine.verify_suite` and
    class, sequents with measured timings dispatch longest-first ahead of
    unmeasured ones (which keep their planned order);
 3. **merge**: verdicts are replayed in deterministic shard order, timings
-   observed, each class's cost profile and dependency record rebuilt
-   (unless the plan opted out, as the proof-stripping ablation does), and
-   one :class:`~repro.verifier.engine.ClassReport` per class assembled in
+   observed, each class's proved sequents counted, its cost profile and
+   dependency record rebuilt (unless the plan opted out, as the
+   proof-stripping ablation does), and one
+   :class:`~repro.verifier.engine.ClassReport` per class assembled in
    input order.
+
+Each planned sequent is counted once, into the plan's
+:class:`~repro.verifier.parallel.RunStats`: the run record every report
+(``--perf``, the daemon's ``stats`` / ``metrics`` ops, the benchmarks)
+reads.
 
 Dispatch *order* is a pure scheduling choice: results are merged by shard
 index, and per-sequent timeouts are per-process CPU budgets
@@ -36,6 +42,7 @@ verdict.  The differential harness
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
@@ -47,7 +54,6 @@ from .parallel import (
     build_class_report,
     plan_class,
     resolve_duplicates,
-    resolve_shard,
     run_shard,
 )
 
@@ -81,12 +87,14 @@ class SuitePlan:
     records (the proof-stripping ablation verifies a different program
     under the same class name).  ``deltas`` holds one
     :class:`~repro.verifier.incremental.IncrementalRunStats` per class of
-    an incremental plan.
+    an incremental plan.  ``started`` is the monotonic time planning
+    began, so the run record's ``wall_time`` covers plan through merge.
     """
 
     classes: list[ClassModel]
     stats: RunStats
     record: bool = True
+    started: float = field(default_factory=time.monotonic)
     planned: list[tuple[ClassModel, list[_Slot]]] = field(default_factory=list)
     shard: list[_Slot] = field(default_factory=list)
     shard_ranges: list[tuple[int, int]] = field(default_factory=list)
@@ -117,24 +125,25 @@ def plan_suite(
         before = (stats.hits_memory, stats.hits_disk, stats.duplicates_folded)
         if incremental:
             slots, delta = plan_from_index(engine, cls, shard, pending_by_key, stats)
-            plan.deltas.append(delta)
         else:
             slots = plan_class(engine, cls, shard, pending_by_key, stats)
         plan.planned.append((cls, slots))
         plan.shard_ranges.append((shard_start, len(shard)))
         cost, source = engine.cost_model.class_cost([slot.key for slot in slots])
-        stats.classes.append(
-            ClassScheduleStats(
-                class_name=cls.name,
-                cost_hint=cost,
-                sequents=len(slots),
-                dispatched=len(shard) - shard_start,
-                hits_memory=stats.hits_memory - before[0],
-                hits_disk=stats.hits_disk - before[1],
-                duplicates_folded=stats.duplicates_folded - before[2],
-                hint_source=source,
-            )
+        row = ClassScheduleStats(
+            class_name=cls.name,
+            cost_hint=cost,
+            sequents=len(slots),
+            dispatched=len(shard) - shard_start,
+            hits_memory=stats.hits_memory - before[0],
+            hits_disk=stats.hits_disk - before[1],
+            duplicates_folded=stats.duplicates_folded - before[2],
+            hint_source=source,
         )
+        stats.classes.append(row)
+        if incremental:
+            delta.run, delta.row = stats, row
+            plan.deltas.append(delta)
     stats.dispatched = len(shard)
     return plan
 
@@ -144,7 +153,7 @@ def verify_suite(engine, classes: list[ClassModel], jobs: int):
 
     Returns ``(reports, RunStats)`` with one
     :class:`~repro.verifier.engine.ClassReport` per class, in input order.
-    Verdicts, attribution and portfolio counters are identical to
+    Verdicts, attribution and the run record's counters are identical to
     verifying the classes one by one on the same engine in the same order
     (the differential tests assert this for ``jobs`` in {1, 2, 4}).
     """
@@ -154,9 +163,9 @@ def verify_suite(engine, classes: list[ClassModel], jobs: int):
 def execute_suite(engine, plan: SuitePlan, jobs: int):
     """Phases 2--3: dispatch a plan's shard, merge, and assemble reports.
 
-    Returns ``(reports, RunStats)``; the stats also become the engine's
-    ``last_run_stats`` and fold into its ``run_stats_total``, and the
-    persistent store is flushed.
+    Returns ``(reports, RunStats)``; the persistent store is flushed, and
+    the stats become the engine's ``last_run_stats`` and fold into its
+    ``run_stats_total``.
     """
     portfolio = engine.portfolio
     cost_model = engine.cost_model
@@ -213,19 +222,20 @@ def execute_suite(engine, plan: SuitePlan, jobs: int):
     # Phase 3: deterministic merge -- replay verdicts in shard order, then
     # resolve each class's folded duplicates and build its report in the
     # original input order.
-    resolve_shard(portfolio, shard, results)
     for slot in shard:
+        slot.result = results[slot.shard_index]
         cost_model.observe(slot.key, slot.result.wall, slot.result.elapsed)
     reports = []
     for cls, slots in plan.planned:
-        resolve_duplicates(portfolio, slots, results)
+        resolve_duplicates(stats, slots, results)
         if plan.record:
             # The slots are the class's complete current fingerprint set:
             # rebuild its profile and dependency record from ground truth.
             cost_model.reprofile(cls.name, [slot.key for slot in slots])
             engine.record_dependencies(cls, slots)
         reports.append(build_class_report(cls, slots))
+    engine.flush_persistent_cache()
+    stats.wall_time = time.monotonic() - plan.started
     engine.last_run_stats = stats
     engine.run_stats_total.merge(stats)
-    engine.flush_persistent_cache()
     return reports, stats

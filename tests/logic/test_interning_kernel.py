@@ -39,8 +39,10 @@ from repro.logic.terms import (
     mk_const,
     mk_int,
     mk_var,
+    pool_sizes,
     term_size,
     term_stats,
+    transient_terms,
 )
 
 
@@ -141,6 +143,19 @@ class TestInterning:
         x = Var("imm_x", INT)
         with pytest.raises(AttributeError):
             x.name = "other"
+
+    def test_transient_terms_leave_no_pool_entries(self):
+        kept = App("transient_kept", (Var("tk", INT),), BOOL)
+        before = pool_sizes()
+        with transient_terms():
+            inner = App("transient_op", (Var("tv", INT), kept), BOOL)
+            assert App("transient_op", (Var("tv", INT), kept), BOOL) is inner
+        assert pool_sizes() == before
+        assert App("transient_kept", (Var("tk", INT),), BOOL) is kept
+        # A released term stays valid and equal to its rebuilt twin.
+        rebuilt = App("transient_op", (Var("tv", INT), kept), BOOL)
+        assert rebuilt is not inner
+        assert rebuilt == inner and hash(rebuilt) == hash(inner)
 
     def test_validation_still_enforced(self):
         with pytest.raises(ValueError):

@@ -411,13 +411,14 @@ class TestEngineWiring:
     def test_second_run_hits_disk_with_identical_verdicts(self, tmp_path, linked_list):
         first = self._engine(tmp_path)
         cold = first.verify_class(linked_list)
-        assert first.portfolio.statistics.cache_hits_disk == 0
+        assert first.run_stats_total.hits_disk == 0
 
         second = self._engine(tmp_path)
         warm = second.verify_class(linked_list)
-        stats = second.portfolio.statistics
-        assert stats.cache_hits_disk > 0
-        assert stats.per_prover == {}  # no prover ever ran
+        stats = second.run_stats_total
+        assert stats.hits_disk == stats.sequents_total > 0
+        assert stats.dispatched == 0  # no prover ever ran
+        assert not any(o.dispatch.attempts for m in warm.methods for o in m.outcomes)
         assert [
             (o.sequent.label, o.proved, o.prover)
             for m in cold.methods for o in m.outcomes

@@ -7,6 +7,8 @@ with instantiation, comprehension-defined specification variables, and
 existentially quantified goals resolved by a witness in the assumption base.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.logic import BOOL, INT, OBJ, fun_of, map_of, set_of, tuple_of
@@ -171,6 +173,31 @@ class TestFolProver:
         result = FolProver().prove(task(["p(a)"], "q(a)"), timeout=5.0)
         assert not result.is_proved
 
+    def test_clause_sizes_are_computed_once_per_enqueued_clause(self, monkeypatch):
+        # Given-clause selection orders the waiting clauses by (length,
+        # printed size); the size is computed when a clause is enqueued,
+        # not re-printed for every clause on every iteration.
+        from repro.provers import fol
+
+        sized = Counter()
+        original = fol._clause_size
+
+        def counting(clause):
+            sized[clause] += 1
+            return original(clause)
+
+        monkeypatch.setattr(fol, "_clause_size", counting)
+        result = FolProver().prove(
+            task(
+                ["ALL v : obj. p(v) --> q(v)", "ALL v : obj. q(v) --> r(v)", "p(a)"],
+                "r(a)",
+            ),
+            timeout=10.0,
+        )
+        assert result.is_proved
+        assert len(sized) > 3  # several clauses waited for selection
+        assert max(sized.values()) == 1
+
 
 class TestModelFinder:
     def test_refutes_invalid_sequent(self):
@@ -200,13 +227,12 @@ class TestPortfolio:
         result = portfolio.dispatch(task(["x <= y", "y < z"], "x < z"))
         assert result.proved and result.winning_prover == "smt"
 
-    def test_restriction_and_statistics(self):
+    def test_restriction_offers_only_the_named_provers(self):
         portfolio = default_portfolio().only("smt")
         assert portfolio.prover_names == ["smt"]
         result = portfolio.dispatch(task([], "x < x + 1"))
-        assert result.proved
-        assert portfolio.statistics.sequents_attempted == 1
-        assert portfolio.statistics.sequents_proved == 1
+        assert result.proved and result.winning_prover == "smt"
+        assert [attempt.prover for attempt in result.attempts] == ["smt"]
 
     def test_unprovable_sequent_reports_all_attempts(self):
         portfolio = default_portfolio()

@@ -84,8 +84,8 @@ def test_table1_jobs2_smoke():
         stats.sequents_total
     )
     assert (
-        seq_engine.portfolio.statistics.sequents_proved
-        == par_engine.portfolio.statistics.sequents_proved
+        seq_engine.run_stats_total.sequents_proved
+        == par_engine.run_stats_total.sequents_proved
     )
 
 
@@ -102,17 +102,21 @@ def test_warm_persistent_cache_speedup(tmp_path):
         jobs=2, structures=structures, cache_dir=tmp_path
     )
     cold = time.monotonic() - start
-    assert cold_engine.portfolio.statistics.cache_hits_disk == 0
+    assert cold_engine.run_stats_total.hits_disk == 0
 
     start = time.monotonic()
     warm_engine, warm_reports = bench_table1.run_suite(
         jobs=2, structures=structures, cache_dir=tmp_path
     )
     warm = time.monotonic() - start
-    stats = warm_engine.portfolio.statistics
-    assert stats.cache_hits_disk > 0
-    assert stats.per_prover == {}  # every sequent answered from disk
-    assert warm_engine.run_stats_total.dispatched == 0
+    stats = warm_engine.run_stats_total
+    assert stats.hits_disk > 0
+    # Every sequent answered from disk: none was offered to a prover.
+    assert stats.hits_disk == stats.sequents_total
+    assert stats.dispatched == 0
+    assert not any(
+        o.dispatch.attempts for r in warm_reports for m in r.methods for o in m.outcomes
+    )
     for cold_report, warm_report in zip(cold_reports, warm_reports):
         assert [
             (o.sequent.label, o.proved, o.prover)

@@ -198,9 +198,9 @@ def test_dependency_index_persists_across_engines(tmp_path):
         assert stats.sequents_clean == stats.sequents_total
         assert report.verified
         # Clean resolutions are accounted as (disk-loaded) cache hits.
-        counters = second.portfolio.statistics
-        assert counters.cache_hits == stats.sequents_clean
-        assert counters.cache_hits_disk == stats.sequents_clean
+        counters = second.run_stats_total.counters()
+        assert counters["proof_cache_hits"] == stats.sequents_clean
+        assert counters["proof_cache_hits_disk"] == stats.sequents_clean
     with make_engine(cache_dir=tmp_path) as third:
         _, stats = third.verify_class_incremental(build_counter(EDITED_ENSURES))
         assert not stats.cold_start

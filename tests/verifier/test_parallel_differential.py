@@ -2,8 +2,9 @@
 
 Every assertion here compares a fresh sequential engine against a fresh
 parallel engine on the same classes: per-sequent verdicts, refutations,
-prover attribution, cache provenance flags, report aggregates and the
-portfolio counters must all be identical.  The fast variants (a subset of
+prover attribution, the provers each sequent was offered to, cache
+provenance flags, report aggregates and the run record's counters must
+all be identical.  The fast variants (a subset of
 quickly-verifying catalog classes) run in tier 1; the full-catalog sweep
 over ``jobs in {1, 2, 4}`` is marked ``slow`` and deselected by default
 (run it with ``pytest -m slow``).
@@ -55,6 +56,9 @@ def sequent_trace(report: ClassReport) -> list[tuple]:
             outcome.prover,
             outcome.dispatch.cached,
             outcome.dispatch.cache_origin,
+            # The attempt list: every per-prover attempt/proved count of
+            # the run follows from these.
+            tuple(attempt.prover for attempt in outcome.dispatch.attempts),
         )
         for method in report.methods
         for outcome in method.outcomes
@@ -74,19 +78,17 @@ def aggregate_trace(report: ClassReport) -> tuple:
 
 
 def statistics_trace(engine: VerificationEngine) -> tuple:
-    stats = engine.portfolio.statistics
-    return (
-        stats.sequents_attempted,
-        stats.sequents_proved,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_hits_disk,
-        tuple(
-            sorted(
-                (name, per.attempts, per.proved)
-                for name, per in stats.per_prover.items()
-            )
-        ),
+    """The run record's counters over every run of ``engine``, without
+    the process-wide term-kernel counters.  How hits split between memory
+    hits and folded duplicates depends on how the classes were planned
+    together, so only their sum (``proof_cache_hits_memory``) is compared."""
+    counters = engine.run_stats_total.counters()
+    return tuple(
+        sorted(
+            (name, value)
+            for name, value in counters.items()
+            if not name.startswith(("terms_", "intern_"))
+        )
     )
 
 

@@ -3,9 +3,9 @@
 The differential harnesses compare verdicts; this module pins down the
 rest of what the pipeline leaves behind.  ``verify_class`` at jobs 1 and
 2, ``verify_suite`` and ``verify_class_incremental`` must record the same
-dependency record, the same per-sequent verdicts and the same portfolio
-counters, on a cold run and on the warm repeat -- and a fully cached run
-must not rewrite the persistent store.
+dependency record, the same per-sequent verdicts and attempt lists and
+the same run-record counters, on a cold run and on the warm repeat --
+and a fully cached run must not rewrite the persistent store.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ def run_path(path: str, cls) -> list[tuple]:
         else:
             report = engine.verify_class(cls)
         verdicts = [
-            (o.sequent.label, o.proved, o.dispatch.refuted, o.prover)
+            (
+                o.sequent.label,
+                o.proved,
+                o.dispatch.refuted,
+                o.prover,
+                tuple(attempt.prover for attempt in o.dispatch.attempts),
+            )
             for method in report.methods
             for o in method.outcomes
         ]
